@@ -97,6 +97,7 @@ class Scenario:
 def parse_config(text):
     """Parse the flat `key = value` scenario format."""
     values = {}
+    linenos = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,16 +108,23 @@ def parse_config(text):
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
+        linenos[key] = lineno
+
+    def numbers(key, default, convert):
+        if key not in values:
+            return tuple(default)
+        text = values.pop(key)
+        try:
+            return tuple(convert(tok) for tok in text.split())
+        except ValueError as exc:
+            raise ConfigError(f"line {linenos[key]}: {key} expects "
+                              f"{convert.__name__} values, got {text!r}") from exc
 
     def floats(key, default=()):
-        if key not in values:
-            return tuple(default)
-        return tuple(float(tok) for tok in values.pop(key).split())
+        return numbers(key, default, float)
 
     def ints(key, default=()):
-        if key not in values:
-            return tuple(default)
-        return tuple(int(tok) for tok in values.pop(key).split())
+        return numbers(key, default, int)
 
     name = values.pop("scenario.name", "")
     chart_id = values.pop("chart.id", "")

@@ -175,6 +175,26 @@ def test_missing_config_file_exit_two(capsys):
     assert main(["run", "/nonexistent/path.cfg"]) == 2
 
 
+@pytest.mark.parametrize("key,bad", [
+    ("mesh.resolutions", "4 8 1o"),   # ints
+    ("appendix.c", "1 2,5"),          # floats
+])
+def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
+    text = "\n".join(f"{key} = {bad}" if line.startswith(f"{key} =") else line
+                     for line in SMALL_CONFIG.splitlines())
+    assert f"{key} = {bad}" in text
+    cfg = _write(tmp_path, "bad.cfg", text)
+    result = subprocess.run(
+        [sys.executable, "-m", "spectralab", "run", cfg],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src", "SPECTRA_OUT": str(tmp_path / "out")},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lineno = text.splitlines().index(f"{key} = {bad}") + 1
+    assert result.stderr.startswith(f"error: line {lineno}: {key} ")
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "spectralab", "list"],

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helpers import pipeline
 from spectralab.assembly import assemble
-from spectralab.eigensolve import solve_dense, solve_sparse, vertex_fields
+from spectralab.eigensolve import (
+    DENSE_LIMIT,
+    _LanczosSweep,
+    solve_dense,
+    solve_sparse,
+    vertex_fields,
+)
 from spectralab.errors import (
     ConvergenceError,
     NotSPDError,
@@ -43,6 +50,15 @@ def test_interval_first_eigenvalue_dense():
     assert result.eigenvalues[0] == pytest.approx(math.pi ** 2, rel=1e-5)
 
 
+def _assert_sparse_matches_dense(a_mat, b_mat, k):
+    dense = solve_dense(a_mat, b_mat, k)
+    sparse = solve_sparse(a_mat, b_mat, k)
+    rel = np.abs(sparse.eigenvalues - dense.eigenvalues) / (1.0 + dense.eigenvalues)
+    assert rel.max() <= 1e-8
+    gram = sparse.vectors @ (b_mat.to_csr() @ sparse.vectors.T)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-8
+
+
 @pytest.mark.parametrize("chart_id,params,eta,res", [
     ("flat_rectangle", (), None, 32),
     ("flat_interval", (), ("linear", (2.0,)), 500),
@@ -55,10 +71,30 @@ def test_sparse_matches_dense(chart_id, params, eta, res):
     chart = make_chart(chart_id, params, eta=eta_field)
     mesh = build_structured(chart.domain, res)
     a_mat, b_mat, _ = assemble(chart, mesh)
-    dense = solve_dense(a_mat, b_mat, 10)
-    sparse = solve_sparse(a_mat, b_mat, 10)
-    rel = np.abs(sparse.eigenvalues - dense.eigenvalues) / (1.0 + dense.eigenvalues)
-    assert rel.max() <= 1e-8
+    _assert_sparse_matches_dense(a_mat, b_mat, 10)
+
+
+def test_sparse_matches_dense_past_initial_basis_buffer():
+    # k = 60 needs more Lanczos steps than the basis buffer starts with,
+    # so the buffer must grow at least once while the sweep runs
+    chart = make_chart("flat_rectangle")
+    mesh = build_structured(chart.domain, 40)
+    a_mat, b_mat, _ = assemble(chart, mesh)
+    assert a_mat.dim == 1521
+    k = 60
+    assert k > _LanczosSweep.INITIAL_ROWS
+    _assert_sparse_matches_dense(a_mat, b_mat, k)
+
+
+def test_sparse_matches_eigsh_above_dense_limit():
+    chart = make_chart("flat_rectangle")
+    mesh = build_structured(chart.domain, 80)
+    a_mat, b_mat, _ = assemble(chart, mesh)
+    assert a_mat.dim == 6241 > DENSE_LIMIT
+    a_csr, b_csr = a_mat.to_csr(), b_mat.to_csr()
+    sparse = solve_sparse(a_mat, b_mat, 13)
+    ref = np.sort(spla.eigsh(a_csr, 13, M=b_csr, sigma=0, return_eigenvectors=False))
+    assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
 
 
 def test_square_symmetry_pairs():
