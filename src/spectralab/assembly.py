@@ -16,12 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshTooCoarseError, TensorError
-from .geometry import _inv_spd, apply_operator_pointwise, metric, pair_eigenvalues
+from .geometry import (
+    CHRISTOFFEL_STEP_REL,
+    _inv_spd,
+    apply_operator_pointwise,
+    metric,
+    not_spd,
+    second_fundamental_form,
+    trace_grad_tensor,
+)
 
 # reference quadrature
 _GAUSS_1D = (np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
@@ -110,19 +119,13 @@ def _chart_fields(chart, qpts_flat):
     ginv = _inv_spd(g)
     t = chart.tensor.value(qpts_flat, g)
     k = np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+    # np.linalg.det, not det_small: the shipped hemisphere spectra hold
+    # numerically tied pairs whose roundoff-level gaps decide whether
+    # hile_protter is evaluated, so rounding det g differently here changes
+    # the check counts recorded in perfbench/golden.json
     det = np.linalg.det(g) if chart.dim_n > 1 else g[:, 0, 0]
     w = np.exp(-chart.eta.value(qpts_flat)) * np.sqrt(det)
     return g, ginv, t, k, w
-
-
-def _check_k_spd(t, g, ncells, nq):
-    eig = pair_eigenvalues(t, g)
-    scale = np.maximum(np.abs(eig).max(axis=1), 1.0)
-    bad = eig.min(axis=1) <= 1e-12 * scale
-    if np.any(bad):
-        cell = int(np.nonzero(bad)[0][0] // nq)
-        raise TensorError(
-            f"coefficient tensor not positive definite at a quadrature point of cell {cell}")
 
 
 def assemble(chart, mesh, dirichlet=True):
@@ -146,7 +149,11 @@ def assemble(chart, mesh, dirichlet=True):
     ncells, nq = qw.shape
     flat = qpts.reshape(-1, mesh.dim)
     g, _, t, k, w = _chart_fields(chart, flat)
-    _check_k_spd(t, g, ncells, nq)
+    bad = not_spd(t, g)
+    if np.any(bad):
+        cell = int(np.nonzero(bad)[0][0] // nq)
+        raise TensorError(
+            f"coefficient tensor not positive definite at a quadrature point of cell {cell}")
     kq = k.reshape(ncells, nq, mesh.dim, mesh.dim)
     wq = (w.reshape(ncells, nq)) * qw
 
@@ -202,7 +209,9 @@ class EigenfunctionQuadrature:
 
     Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays,
     exposing P1-interpolated values, per-cell gradients and dm-weighted
-    integration.  Shared by the test-function and tensor-theorem checks.
+    integration.  Shared by the test-function and tensor-theorem checks; the
+    fields and per-eigenfunction integrals of the integrated tensor bound
+    are computed on first use and kept.
     """
 
     def __init__(self, chart, mesh, vertex_values):
@@ -212,15 +221,11 @@ class EigenfunctionQuadrature:
         qpts, qw, grads, phi = _cell_geometry(mesh)
         self.ncells, self.nq = qw.shape
         self.qpts_flat = qpts.reshape(-1, mesh.dim)
-        g, ginv, t, k, w = _chart_fields(chart, self.qpts_flat)
-        self.g = g
-        self.ginv = ginv
-        self.tensor = t
-        self.k = k
+        self.g, self.ginv, self.tensor, self.k, w = _chart_fields(chart, self.qpts_flat)
         self.dm_weights = (w.reshape(self.ncells, self.nq) * qw).ravel()
         self.grads = grads
         self.phi = phi
-        self.jacobian = chart.immersion.jacobian(self.qpts_flat)
+        self._tensor_integrals = []
 
     def integrate(self, values_flat):
         """Integral of a quadrature-point sampled function against dm."""
@@ -245,3 +250,42 @@ class EigenfunctionQuadrature:
     def tensor_bilinear(self, grad1_flat, grad2_flat):
         """T(X, Y) = K^ij X_i Y_j for chart-coordinate covector fields."""
         return np.einsum("pij,pi,pj->p", self.k, grad1_flat, grad2_flat)
+
+    @cached_property
+    def tensor_fields(self):
+        """Pointwise fields of the integrated tensor bound at quadrature points:
+        ``(tr_g T, |tr(alpha o T)|^2 + |V|^2, V)`` with the tangential vector
+        ``V = tr(nabla T) - T(grad eta)`` in chart components."""
+        chart = self.chart
+        pts = self.qpts_flat
+        tr_t = np.einsum("pij,pji->p", self.ginv, self.tensor)
+        # normal part: tr(alpha o T) = K^{ij} alpha^k_ij per normal direction
+        if chart.dim_m > chart.dim_n:
+            _, alpha, _ = second_fundamental_form(chart, pts)
+            tr_alpha_t = np.einsum("pij,pkij->pk", self.k, alpha)
+            normal_sq = (tr_alpha_t ** 2).sum(axis=1)
+        else:
+            normal_sq = np.zeros(pts.shape[0])
+        if getattr(chart.tensor, "is_metric", False):
+            trace_grad = np.zeros_like(pts)
+        else:
+            step = CHRISTOFFEL_STEP_REL * float(chart.domain.extents.max())
+            trace_grad, _ = trace_grad_tensor(chart, pts, step)
+        tangential = trace_grad - np.einsum("pij,pj->pi", self.k, chart.eta.gradient(pts))
+        tangential_sq = np.einsum("pab,pa,pb->p", self.g, tangential, tangential)
+        return tr_t, normal_sq + tangential_sq, tangential
+
+    def tensor_integrals(self, k):
+        """Integrals ``(u_i^2 tr T, u_i^2 square field, u_i g(V, T grad u_i))``
+        against dm for the first ``k`` eigenfunctions; each is computed once."""
+        tr_t, square_field, tangential = self.tensor_fields
+        while len(self._tensor_integrals) < k:
+            i = len(self._tensor_integrals)
+            u_q = self.u_at_quadrature(i)
+            t_grad_u = np.einsum("pij,pj->pi", self.k, self.grad_u_flat(i))
+            self._tensor_integrals.append((
+                self.integrate(u_q ** 2 * tr_t),
+                self.integrate(u_q ** 2 * square_field),
+                self.integrate(u_q * np.einsum("pab,pa,pb->p", self.g, tangential, t_grad_u)),
+            ))
+        return self._tensor_integrals[:k]

@@ -11,22 +11,22 @@ Conventions: within a check, ``lhs <= rhs`` is the asserted inequality
 (lower bounds are reported with the bound on the left), ``Lambda_i``
 denotes the gaps ``lambda_{k+1} - lambda_i``, and the additive spectral
 shift is ``(n^2 H0^2 + eta0^2 + 2 eta_bar0)/4``.
+
+The inequality forms shared by several checks (quadratic gap, linear
+Yang, Yang discriminant, growth and mean lower bound) are each written
+once below and called by every check that uses them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .assembly import apply_Lh
 from .errors import ParameterError, ShiftPositivityError
-from .geometry import (
-    CHRISTOFFEL_STEP_REL,
-    omega_n,
-    second_fundamental_form,
-    _trace_grad_tensor,
-)
+from .geometry import omega_n
 
 CLOSED_FORM_SLACK = 1e-9
 COMPUTED_SLACK = 1e-6
@@ -95,13 +95,57 @@ def _skipped(name, k, slack, note, inputs=None):
                        note=note, skipped=True, inputs=dict(inputs or {}))
 
 
-def _check_k(spec, k):
+def _check_k(spec, k, slack):
+    """Validate k against the spectrum; return the slack to use."""
     if k < 1 or k + 1 > len(spec):
         raise ParameterError(f"k={k} needs at least k+1={k + 1} eigenvalues, have {len(spec)}")
+    return _slack(spec, slack)
 
 
 def _slack(spec, slack):
     return spec.default_slack if slack is None else slack
+
+
+# ---------------------------------------------------------------------------
+# inequality forms: each returns (lhs, rhs) of ``lhs <= rhs`` for the first
+# k+1 entries of an ascending sequence v (shifted by ``offset`` where given)
+# ---------------------------------------------------------------------------
+
+def _quadratic_gap_form(v, n, k, c=1.0, offset=0.0):
+    """sum L_i^2 <= (4c/n) sum L_i (v_i + offset),  L_i = v_{k+1} - v_i."""
+    gaps = v[k] - v[:k]
+    return (float((gaps ** 2).sum()),
+            float((4.0 * c / n) * (gaps * (v[:k] + offset)).sum()))
+
+
+def _linear_form(v, n, k, offset=0.0):
+    """v_{k+1} + offset <= (1 + 4/n) mean(v_i + offset, i <= k)."""
+    return float(v[k] + offset), float((1.0 + 4.0 / n) * (v[:k] + offset).mean())
+
+
+def _growth_form(v, n, k, c=1.0):
+    """v_{k+1} <= (1 + 4c/n) k^(2c/n) v_1."""
+    return float(v[k]), float((1.0 + 4.0 * c / n) * k ** (2.0 * c / n) * v[0])
+
+
+def _mean_lower_form(v, n, k, w, coeff):
+    """coeff W k^(2/n) <= mean(v_i, i <= k), W the Weyl constant."""
+    return coeff * w * k ** (2.0 / n), float(v[:k].mean())
+
+
+def _discriminant(v, n, k):
+    """Discriminant of the Yang-form quadratic in v_{k+1}:
+    (2 mean/n)^2 - (1 + 4/n) var(v_i, i <= k).  Roundoff-scale negatives
+    are clamped to zero; a negative value means the Yang-form hypothesis
+    fails for the sequence, and the gap form v_{k+1} - v_k <= 2 sqrt(D) and
+    the quadratic-root bound do not apply."""
+    s = v[:k].sum()
+    mean = s / k
+    centered = ((v[:k] - mean) ** 2).sum()
+    disc = (2.0 * s / (k * n)) ** 2 - (1.0 + 4.0 / n) * centered / k
+    if disc < 0 and disc > -1e-12 * max((2.0 * s / (k * n)) ** 2, 1.0):
+        disc = 0.0
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +181,9 @@ def check_thm_drift(spec, consts, k, slack=None):
 
     sum (L_i)^2 <= (4/n) sum L_i (lambda_i + shift),  L_i = lambda_{k+1} - lambda_i.
     """
-    _check_k(spec, k)
-    slack = _slack(spec, slack)
-    lam = spec.values
-    gaps = lam[k] - lam[:k]
+    slack = _check_k(spec, k, slack)
     shift = shift_constant(consts)
-    lhs = float((gaps ** 2).sum())
-    rhs = float((4.0 / spec.n) * (gaps * (lam[:k] + shift)).sum())
+    lhs, rhs = _quadratic_gap_form(spec.values, spec.n, k, offset=shift)
     return _report("thm_drift", k, lhs, rhs, slack,
                    inputs={"shift": shift, "h0": consts.h0, "eta0": consts.eta0,
                            "eta_bar0": consts.eta_bar0})
@@ -159,8 +199,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
     divergence and cross terms under element quadrature), which requires a
     quadrature context holding the eigenfunctions.
     """
-    _check_k(spec, k)
-    slack = _slack(spec, slack)
+    slack = _check_k(spec, k, slack)
     lam = spec.values
     gaps = lam[k] - lam[:k]
     if mode == "inf_trace":
@@ -178,7 +217,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
         raise ParameterError(f"unknown thm_tensor mode {mode!r}")
     if quad is None:
         raise ParameterError("integrated mode requires an EigenfunctionQuadrature")
-    per_i = _tensor_integrals(quad, k)
+    per_i = quad.tensor_integrals(k)
     lhs = float(sum(gaps[i] ** 2 * per_i[i][0] for i in range(k)))
     rhs = float(sum(gaps[i] * (per_i[i][1] + 4.0 * per_i[i][2] + 4.0 * lam[i])
                     for i in range(k)))
@@ -186,67 +225,9 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
                    inputs={"mode": "integrated"})
 
 
-def _tensor_fields(quad):
-    """Pointwise fields of the integrated tensor bound, cached on the context."""
-    cached = getattr(quad, "_tensor_fields_cache", None)
-    if cached is not None:
-        return cached
-    chart = quad.chart
-    pts = quad.qpts_flat
-    tr_t = np.einsum("pij,pji->p", quad.ginv, quad.tensor)
-    # normal part: tr(alpha o T) = K^{ij} alpha^k_ij per normal direction
-    if chart.dim_m > chart.dim_n:
-        _, alpha, _ = second_fundamental_form(chart, pts)
-        tr_alpha_t = np.einsum("pij,pkij->pk", quad.k, alpha)
-        normal_sq = (tr_alpha_t ** 2).sum(axis=1)
-    else:
-        normal_sq = np.zeros(pts.shape[0])
-    # tangential part: tr(nabla T) - T(grad eta), chart components
-    if getattr(chart.tensor, "is_metric", False):
-        trace_grad = np.zeros_like(pts)
-    else:
-        step = CHRISTOFFEL_STEP_REL * float(chart.domain.extents.max())
-        trace_grad, _ = _trace_grad_tensor(chart, pts, step)
-    t_grad_eta = np.einsum("pij,pj->pi", quad.k, chart.eta.gradient(pts))
-    tangential = trace_grad - t_grad_eta
-    tangential_sq = np.einsum("pab,pa,pb->p", quad.g, tangential, tangential)
-    cached = (tr_t, normal_sq + tangential_sq, tangential)
-    quad._tensor_fields_cache = cached
-    return cached
-
-
-def _tensor_integrals(quad, k):
-    """Per-eigenfunction integrals (trace, square-term, cross-term), cached."""
-    cache = getattr(quad, "_tensor_integral_cache", None)
-    if cache is None:
-        cache = quad._tensor_integral_cache = []
-    tr_t, square_field, tangential = _tensor_fields(quad)
-    while len(cache) < k:
-        i = len(cache)
-        u_q = quad.u_at_quadrature(i)
-        t_grad_u = np.einsum("pij,pj->pi", quad.k, quad.grad_u_flat(i))
-        cache.append((
-            quad.integrate(u_q ** 2 * tr_t),
-            quad.integrate(u_q ** 2 * square_field),
-            quad.integrate(u_q * np.einsum("pab,pa,pb->p", quad.g, tangential, t_grad_u)),
-        ))
-    return cache
-
-
 # ---------------------------------------------------------------------------
 # corollaries on the shifted spectrum
 # ---------------------------------------------------------------------------
-
-def _discriminant(values, n, k):
-    s = values[:k].sum()
-    mean = s / k
-    centered = ((values[:k] - mean) ** 2).sum()
-    disc = (2.0 * s / (k * n)) ** 2 - (1.0 + 4.0 / n) * centered / k
-    # clamp roundoff-scale negatives to zero
-    if disc < 0 and disc > -1e-12 * max((2.0 * s / (k * n)) ** 2, 1.0):
-        disc = 0.0
-    return disc
-
 
 def check_corollary_trio(shifted, k, slack=None):
     """Three consequences of the Yang-form inequality for the shifted sequence.
@@ -256,13 +237,10 @@ def check_corollary_trio(shifted, k, slack=None):
     sequence (or numerical inconsistency); (ii)/(iii) are then reported as
     skipped, not as violations.
     """
-    _check_k(shifted, k)
-    slack = _slack(shifted, slack)
+    slack = _check_k(shifted, k, slack)
     v = shifted.values
     n = shifted.n
-    s = v[:k].sum()
-    first = _report("corollary_second_yang", k, float(v[k]),
-                    float((1.0 + 4.0 / n) * s / k), slack)
+    first = _report("corollary_second_yang", k, *_linear_form(v, n, k), slack)
     disc = _discriminant(v, n, k)
     if disc < 0:
         note = "discriminant negative: Yang-form hypothesis violated for this sequence"
@@ -271,7 +249,7 @@ def check_corollary_trio(shifted, k, slack=None):
                 _skipped("corollary_gap", k, slack, note))
     root = math.sqrt(disc)
     second = _report("corollary_quadratic_root", k, float(v[k]),
-                     float((1.0 + 2.0 / n) * s / k + root), slack)
+                     float((1.0 + 2.0 / n) * v[:k].sum() / k + root), slack)
     third = _report("corollary_gap", k, float(v[k] - v[k - 1]), 2.0 * root, slack)
     return first, second, third
 
@@ -289,19 +267,16 @@ def check_polya_type(shifted, n, vol, k, slack=None):
         raise ParameterError(f"k={k} out of range")
     slack = _slack(shifted, slack)
     w = weyl_constant(n, vol)
-    bound = n / math.sqrt((n + 2.0) * (n + 4.0)) * w * k ** (2.0 / n)
-    mean = float(shifted.values[:k].mean())
+    bound, mean = _mean_lower_form(shifted.values, n, k, w,
+                                   n / math.sqrt((n + 2.0) * (n + 4.0)))
     return _report("polya_type", k, bound, mean, slack,
                    inputs={"vol": vol, "weyl_constant": w})
 
 
 def check_cheng_yang_type(shifted, n, k, slack=None):
     """Growth bound: upsilon_{k+1} <= (1 + 4/n) k^(2/n) upsilon_1."""
-    _check_k(shifted, k)
-    slack = _slack(shifted, slack)
-    v = shifted.values
-    return _report("cheng_yang_type", k, float(v[k]),
-                   float((1.0 + 4.0 / n) * k ** (2.0 / n) * v[0]), slack)
+    slack = _check_k(shifted, k, slack)
+    return _report("cheng_yang_type", k, *_growth_form(shifted.values, n, k), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +301,7 @@ def recursion_constant(n, k, c):
 
 
 def _hypothesis_holds(values, n, c, k, slack):
-    gaps = values[k] - values[:k]
-    lhs = float((gaps ** 2).sum())
-    rhs = float((4.0 * c / n) * (gaps * values[:k]).sum())
+    lhs, rhs = _quadratic_gap_form(values, n, k, c)
     return lhs <= rhs * (1.0 + slack), lhs, rhs
 
 
@@ -347,8 +320,7 @@ def recursion_lemma(spec, n, c, k, slack=None):
     violation.  Returns the pair of :class:`RecursionState` records for k
     and k+1 together with the report.
     """
-    _check_k(spec, k)
-    slack = _slack(spec, slack)
+    slack = _check_k(spec, k, slack)
     name = f"recursion_lemma(c={c:g})"
     v = spec.values
     ok, hyp_lhs, hyp_rhs = _hypothesis_holds(v, n, c, k, slack)
@@ -371,16 +343,14 @@ def recursion_lemma(spec, n, c, k, slack=None):
 
 def lemma_c_bound(spec, n, c, k, slack=None):
     """Growth bound under the c-hypothesis: eta_{k+1} <= (1+4c/n) k^(2c/n) eta_1."""
-    _check_k(spec, k)
-    slack = _slack(spec, slack)
+    slack = _check_k(spec, k, slack)
     name = f"lemma_c_bound(c={c:g})"
     v = spec.values
     ok, hyp_lhs, hyp_rhs = _hypothesis_holds(v, n, c, k, slack)
     if not ok:
         return _skipped(name, k, slack,
                         f"hypothesis failed: {hyp_lhs:g} > {hyp_rhs:g}; bound not applicable")
-    rhs = (1.0 + 4.0 * c / n) * k ** (2.0 * c / n) * v[0]
-    return _report(name, k, float(v[k]), float(rhs), slack,
+    return _report(name, k, *_growth_form(v, n, k, c), slack,
                    inputs={"hyp_lhs": hyp_lhs, "hyp_rhs": hyp_rhs})
 
 
@@ -395,8 +365,6 @@ def _proposition_integrals(quad, h_field, k_top):
     ``weights[i] = int u_i^2 T(grad h, grad h) dm`` and
     ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``.
     """
-    from .assembly import apply_Lh  # local import to avoid a cycle
-
     grad_h = h_field.gradient(quad.qpts_flat)
     t_hh = quad.tensor_bilinear(grad_h, grad_h)
     lh_q = quad.interpolate(apply_Lh(quad.chart, quad.mesh, h_field))
@@ -473,23 +441,15 @@ def intro_comparators(spec, n, k, consts=None, slack=None):
     the raw sequence with the supplied constants.  Reports that would
     divide by a vanishing gap are skipped with a degeneracy note.
     """
-    _check_k(spec, k)
-    slack = _slack(spec, slack)
+    slack = _check_k(spec, k, slack)
     lam = spec.values
     if consts is not None:
-        shift = shift_constant(consts)
-        h0 = consts.h0
-        eta0 = consts.eta0
-        vol = consts.vol_omega
+        v = upsilon_shift(spec, consts).values
+        h0, eta0, vol = consts.h0, consts.eta0, consts.vol_omega
     else:
-        shift, h0, eta0, vol = 0.0, 0.0, 0.0, None
-    v = lam + shift
-    if v[0] <= 0:
-        raise ShiftPositivityError(
-            f"shifted spectrum not positive: lambda_1 + {shift:g} = {v[0]:g}")
+        v, h0, eta0, vol = lam, 0.0, 0.0, None
 
     reports = []
-    mean = v[:k].mean()
     # difference bound
     reports.append(_report("ppw", k, float(v[k] - v[k - 1]),
                            float(4.0 / (n * k) * v[:k].sum()), slack))
@@ -500,34 +460,29 @@ def intro_comparators(spec, n, k, consts=None, slack=None):
     else:
         reports.append(_skipped("hile_protter", k, slack,
                                 "eigenvalue tie: reciprocal gap undefined"))
-    gaps = v[k] - v[:k]
-    reports.append(_report("yang_first", k, float((gaps ** 2).sum()),
-                           float(4.0 / n * (gaps * v[:k]).sum()), slack))
-    reports.append(_report("yang_second", k, float(v[k]),
-                           float((1.0 + 4.0 / n) * mean), slack))
-    bracket = (2.0 / n * mean) ** 2 - (1.0 + 4.0 / n) * ((v[:k] - mean) ** 2).sum() / k
-    if bracket >= 0:
+    reports.append(_report("yang_first", k, *_quadratic_gap_form(v, n, k), slack))
+    reports.append(_report("yang_second", k, *_linear_form(v, n, k), slack))
+    disc = _discriminant(v, n, k)
+    if disc >= 0:
         reports.append(_report("yang_gap", k, float(v[k] - v[k - 1]),
-                               2.0 * math.sqrt(bracket), slack))
+                               2.0 * math.sqrt(disc), slack))
     else:
         reports.append(_skipped("yang_gap", k, slack,
                                 "negative bracket: Yang-form hypothesis violated"))
     if vol is not None:
         w = weyl_constant(n, vol)
-        reports.append(_report("li_yau", k,
-                               float(n / (n + 2.0) * w * k ** (2.0 / n)),
-                               float(mean), slack, inputs={"vol": vol}))
+        reports.append(_report("li_yau", k, *_mean_lower_form(v, n, k, w, n / (n + 2.0)),
+                               slack, inputs={"vol": vol}))
     else:
         reports.append(_skipped("li_yau", k, slack, "volume not supplied"))
 
     # immersion-aware forms on the raw sequence
     raw_gaps = lam[k] - lam[:k]
     curv = n ** 2 * h0 ** 2 / 4.0
-    reports.append(_report("chen_cheng_quadratic", k, float((raw_gaps ** 2).sum()),
-                           float(4.0 / n * (raw_gaps * (lam[:k] + curv)).sum()),
+    reports.append(_report("chen_cheng_quadratic", k,
+                           *_quadratic_gap_form(lam, n, k, offset=curv),
                            slack, inputs={"h0": h0}))
-    reports.append(_report("chen_cheng_linear", k, float(lam[k] + curv),
-                           float((1.0 + 4.0 / n) * (lam[:k] + curv).mean()),
+    reports.append(_report("chen_cheng_linear", k, *_linear_form(lam, n, k, offset=curv),
                            slack, inputs={"h0": h0}))
     xia_xu_terms = 4.0 * lam[:k] + 4.0 * eta0 * np.sqrt(lam[:k]) \
         + n ** 2 * h0 ** 2 + eta0 ** 2
@@ -556,17 +511,7 @@ class WeylFit:
     k_range: tuple
 
     def as_dict(self):
-        return {
-            "constant": self.constant,
-            "exponent": self.exponent,
-            "target_constant": self.target_constant,
-            "target_exponent": self.target_exponent,
-            "mean_form": self.mean_form,
-            "mean_form_target": self.mean_form_target,
-            "mean_sq_form": self.mean_sq_form,
-            "mean_sq_form_target": self.mean_sq_form_target,
-            "k_range": list(self.k_range),
-        }
+        return {**asdict(self), "k_range": list(self.k_range)}
 
 
 def weyl_fit(spec, n, vol, k_range):

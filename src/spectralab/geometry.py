@@ -14,7 +14,7 @@ volume) that enter the eigenvalue bounds in :mod:`spectralab.bounds`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -519,17 +519,23 @@ def metric(chart, points, check_domain=True):
     jac = chart.immersion.jacobian(points)
     g = np.einsum("pai,paj->pij", jac, jac)
     scale = np.einsum("pii->p", g) / chart.dim_n
-    if np.any(np.linalg.det(g) <= DEGENERACY_TOL * scale ** chart.dim_n):
+    if np.any(det_small(g) <= DEGENERACY_TOL * scale ** chart.dim_n):
         raise DegeneracyError("degenerate immersion: det g below tolerance")
     return g
 
 
+def det_small(g):
+    """Determinant of batched 1x1 / 2x2 matrices (closed form)."""
+    if g.shape[-1] == 1:
+        return g[:, 0, 0]
+    return g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+
+
 def _inv_spd(g):
     """Inverse of batched 1x1 / 2x2 SPD matrices (closed form)."""
-    n = g.shape[-1]
-    if n == 1:
+    if g.shape[-1] == 1:
         return 1.0 / g
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    det = det_small(g)
     inv = np.empty_like(g)
     inv[:, 0, 0] = g[:, 1, 1] / det
     inv[:, 1, 1] = g[:, 0, 0] / det
@@ -543,8 +549,8 @@ def pair_eigenvalues(t, g):
     if n == 1:
         lam = t[:, 0, 0] / g[:, 0, 0]
         return np.stack([lam], axis=-1)
-    det_g = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
-    det_t = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] ** 2
+    det_g = det_small(g)
+    det_t = det_small(t)
     # det(T - mu g) = det_g mu^2 - tr_adj mu + det_t
     tr_adj = (t[:, 0, 0] * g[:, 1, 1] + t[:, 1, 1] * g[:, 0, 0]
               - 2.0 * t[:, 0, 1] * g[:, 0, 1])
@@ -553,6 +559,13 @@ def pair_eigenvalues(t, g):
     lam1 = (tr_adj - root) / (2.0 * det_g)
     lam2 = (tr_adj + root) / (2.0 * det_g)
     return np.stack([lam1, lam2], axis=-1)
+
+
+def not_spd(t, g):
+    """Mask of the points where T is not positive definite relative to g."""
+    eig = pair_eigenvalues(t, g)
+    scale = np.maximum(np.abs(eig).max(axis=1), 1.0)
+    return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
 def check_tensor_spd(chart, points, t=None, g=None):
@@ -564,9 +577,7 @@ def check_tensor_spd(chart, points, t=None, g=None):
         t = chart.tensor.value(points, g)
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
         raise EvaluationError("non-finite field values in tensor/metric")
-    eig = pair_eigenvalues(t, g)
-    scale = np.maximum(np.abs(eig).max(axis=1), 1.0)
-    bad = eig.min(axis=1) <= DEGENERACY_TOL * scale
+    bad = not_spd(t, g)
     if np.any(bad):
         where = points[bad][0]
         raise TensorError(
@@ -654,17 +665,18 @@ def apply_operator_pointwise(chart, field, points, identity_tensor=False,
     n = chart.dim_n
     step = step_rel * float(chart.domain.extents.max())
 
-    def flux(pts):
+    def conductivity(pts):
+        """sqrt(det g) and K at pts."""
         g = metric(chart, pts, check_domain=False)
         ginv = _inv_spd(g)
-        sqrt_g = np.sqrt(np.linalg.det(g)) if n > 1 else np.sqrt(g[:, 0, 0])
         if identity_tensor:
-            k = ginv
-        else:
-            t = chart.tensor.value(pts, g)
-            k = np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
-        dh = field.gradient(pts)
-        return sqrt_g[:, None] * np.einsum("pij,pj->pi", k, dh)
+            return np.sqrt(det_small(g)), ginv
+        t = chart.tensor.value(pts, g)
+        return np.sqrt(det_small(g)), np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+
+    def flux(pts):
+        sqrt_g, k = conductivity(pts)
+        return sqrt_g[:, None] * np.einsum("pij,pj->pi", k, field.gradient(pts))
 
     div = np.zeros(points.shape[0])
     for axis in range(n):
@@ -672,17 +684,8 @@ def apply_operator_pointwise(chart, field, points, identity_tensor=False,
         shift[:, axis] = step
         div += (flux(points + shift)[:, axis] - flux(points - shift)[:, axis]) / (2.0 * step)
 
-    g = metric(chart, points, check_domain=False)
-    ginv = _inv_spd(g)
-    sqrt_g = np.sqrt(np.linalg.det(g)) if n > 1 else np.sqrt(g[:, 0, 0])
-    if identity_tensor:
-        k = ginv
-    else:
-        t = chart.tensor.value(points, g)
-        k = np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
-    deta = chart.eta.gradient(points)
-    dh = field.gradient(points)
-    drift = np.einsum("pij,pi,pj->p", k, deta, dh)
+    sqrt_g, k = conductivity(points)
+    drift = np.einsum("pij,pi,pj->p", k, chart.eta.gradient(points), field.gradient(points))
     values = div / sqrt_g - drift
     if not np.all(np.isfinite(values)):
         raise EvaluationError("operator application produced non-finite values")
@@ -717,56 +720,32 @@ class GeometricConstants:
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "eta0": self.eta0,
-            "eta_bar0": self.eta_bar0,
-            "h0": self.h0,
-            "a0": self.a0,
-            "t_star": self.t_star,
-            "t0": self.t0,
-            "tr_t_inf": self.tr_t_inf,
-            "tr_t_sup": self.tr_t_sup,
-            "vol_omega": self.vol_omega,
-            "dim_n": self.dim_n,
-            "dim_m": self.dim_m,
-            "sample_resolution": self.sample_resolution,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
 
-def _christoffel(chart, points, step):
-    """Christoffel symbols Gamma^k_ij by central differences of the metric."""
+def trace_grad_tensor(chart, points, step):
+    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm.
+
+    The derivatives of g (for the Christoffel symbols) and of T are central
+    differences with the given step.
+    """
     points = np.atleast_2d(points)
     n = chart.dim_n
     dg = np.empty((points.shape[0], n, n, n))  # dg[:, i, j, k] = d_i g_jk
+    dt = np.empty_like(dg)                     # dt[:, i, j, k] = d_i T_jk
     for axis in range(n):
         shift = np.zeros_like(points)
         shift[:, axis] = step
         gp = metric(chart, points + shift, check_domain=False)
         gm = metric(chart, points - shift, check_domain=False)
         dg[:, axis] = (gp - gm) / (2.0 * step)
+        dt[:, axis] = (chart.tensor.value(points + shift, gp)
+                       - chart.tensor.value(points - shift, gm)) / (2.0 * step)
     g = metric(chart, points, check_domain=False)
     ginv = _inv_spd(g)
     gamma = 0.5 * (np.einsum("pkl,pijl->pkij", ginv, dg)
                    + np.einsum("pkl,pjil->pkij", ginv, dg)
                    - np.einsum("pkl,plij->pkij", ginv, dg))
-    return gamma, g, ginv
-
-
-def _trace_grad_tensor(chart, points, step):
-    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm."""
-    points = np.atleast_2d(points)
-    n = chart.dim_n
-    gamma, g, ginv = _christoffel(chart, points, step)
-    dt = np.empty((points.shape[0], n, n, n))  # dt[:, i, j, k] = d_i T_jk
-    for axis in range(n):
-        shift = np.zeros_like(points)
-        shift[:, axis] = step
-        gp = metric(chart, points + shift, check_domain=False)
-        gm = metric(chart, points - shift, check_domain=False)
-        tp = chart.tensor.value(points + shift, gp)
-        tm = chart.tensor.value(points - shift, gm)
-        dt[:, axis] = (tp - tm) / (2.0 * step)
     t = chart.tensor.value(points, g)
     # nabla_t[:, i, j, k] = (nabla_i T)_{jk}
     nabla_t = (dt
@@ -831,14 +810,13 @@ def compute_constants(chart, resolution):
         # metric compatibility: nabla g = 0 identically
         t0 = 0.0
     else:
-        _, t0_norms = _trace_grad_tensor(chart, pts, christoffel_step)
+        _, t0_norms = trace_grad_tensor(chart, pts, christoffel_step)
         t0 = float(t0_norms.max())
 
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)
     gq = metric(chart, qpts, check_domain=False)
-    sqrt_g = np.sqrt(np.linalg.det(gq)) if chart.dim_n > 1 else np.sqrt(gq[:, 0, 0])
-    vol = float((qwts * sqrt_g).sum())
+    vol = float((qwts * np.sqrt(det_small(gq))).sum())
 
     return GeometricConstants(
         eta0=eta0,

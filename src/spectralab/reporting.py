@@ -21,14 +21,17 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import bounds as bnd
 from .assembly import EigenfunctionQuadrature, assemble
 from .eigensolve import solve_sparse, vertex_fields
 from .errors import ConfigError, SpectralabError
 from .geometry import (
+    AmbientCoordinate,
     Disk,
     Rectangle,
     chart_ids,
@@ -41,17 +44,61 @@ from .geometry import (
 )
 from .meshing import build_structured
 
-CHECK_NAMES = sorted([
-    "thm_drift",
-    "thm_tensor",
-    "corollary_trio",
-    "polya_type",
-    "cheng_yang_type",
-    "recursion_lemma",
-    "lemma_c_bound",
-    "proposition_testfunction",
-    "intro_comparators",
-])
+
+@dataclass(frozen=True)
+class CheckFamily:
+    """Check-catalog entry: ``run(spectrum, ctx, k)`` returns BoundReports.
+
+    ``spectrum`` is the computed spectrum ("raw") or its ``upsilon_shift``
+    ("shifted"); per-k entries run at each k in 1..k_max-1, the others once
+    with the list of all k; ``needs_quad`` entries read ``ctx.quad``.  Runs
+    look ``bnd`` up at call time, so it can be swapped for a stand-in.
+    """
+
+    spectrum: str
+    run: Callable
+    per_k: bool = True
+    needs_quad: bool = False
+
+
+def _thm_tensor(spec, ctx, k):
+    return (bnd.check_thm_tensor(spec, ctx.consts, k, mode="inf_trace"),
+            bnd.check_thm_tensor(spec, ctx.consts, k, mode="integrated", quad=ctx.quad))
+
+
+def _proposition(spec, ctx, k_list):
+    reports = []
+    for axis in range(ctx.chart.dim_m):
+        reports += bnd.proposition_reports(ctx.quad, spec.values,
+                                           AmbientCoordinate(ctx.chart, axis), k_list,
+                                           label=f"h=x{axis + 1}")
+    return reports
+
+
+# the check catalog, in the order reports are emitted at each k
+CHECKS = {
+    "thm_drift": CheckFamily(
+        "raw", lambda spec, ctx, k: [bnd.check_thm_drift(spec, ctx.consts, k)]),
+    "thm_tensor": CheckFamily("raw", _thm_tensor, needs_quad=True),
+    "corollary_trio": CheckFamily(
+        "shifted", lambda spec, ctx, k: bnd.check_corollary_trio(spec, k)),
+    "polya_type": CheckFamily(
+        "shifted", lambda spec, ctx, k: [
+            bnd.check_polya_type(spec, spec.n, ctx.consts.vol_omega, k)]),
+    "cheng_yang_type": CheckFamily(
+        "shifted", lambda spec, ctx, k: [bnd.check_cheng_yang_type(spec, spec.n, k)]),
+    "recursion_lemma": CheckFamily(
+        "shifted", lambda spec, ctx, k: [bnd.recursion_lemma(spec, spec.n, c, k)[1]
+                                         for c in ctx.c_values]),
+    "lemma_c_bound": CheckFamily(
+        "shifted", lambda spec, ctx, k: [bnd.lemma_c_bound(spec, spec.n, c, k)
+                                         for c in ctx.c_values]),
+    "intro_comparators": CheckFamily(
+        "raw", lambda spec, ctx, k: bnd.intro_comparators(spec, spec.n, k,
+                                                          consts=ctx.consts)),
+    "proposition_testfunction": CheckFamily(
+        "raw", _proposition, per_k=False, needs_quad=True),
+}
 
 
 @dataclass
@@ -82,16 +129,15 @@ class Scenario:
             raise ConfigError("mesh.resolutions must be a nonempty ascending list")
         if self.k_max < 2:
             raise ConfigError("eigen.k_max must be at least 2")
-        requested = self.checks if self.checks != ("all",) else tuple(CHECK_NAMES)
-        for name in requested:
-            if name not in CHECK_NAMES:
+        for name in self.active_checks:
+            if name not in CHECKS:
                 raise ConfigError(f"unknown check name {name!r}")
         if not self.output_dir:
             self.output_dir = os.path.join("out", self.name)
 
     @property
     def active_checks(self):
-        return tuple(CHECK_NAMES) if self.checks == ("all",) else self.checks
+        return tuple(sorted(CHECKS)) if self.checks == ("all",) else self.checks
 
 
 def parse_config(text):
@@ -110,7 +156,7 @@ def parse_config(text):
         values[key] = value
         linenos[key] = lineno
 
-    def numbers(key, default, convert):
+    def numbers(key, convert, default=()):
         if key not in values:
             return tuple(default)
         text = values.pop(key)
@@ -120,29 +166,30 @@ def parse_config(text):
             raise ConfigError(f"line {linenos[key]}: {key} expects "
                               f"{convert.__name__} values, got {text!r}") from exc
 
-    def floats(key, default=()):
-        return numbers(key, default, float)
-
-    def ints(key, default=()):
-        return numbers(key, default, int)
+    def scalar(key, convert, default):
+        found = numbers(key, convert, (default,))
+        if len(found) != 1:
+            raise ConfigError(f"line {linenos[key]}: {key} expects one "
+                              f"{convert.__name__} value, got {len(found)}")
+        return found[0]
 
     name = values.pop("scenario.name", "")
     chart_id = values.pop("chart.id", "")
     if not name or not chart_id:
         raise ConfigError("scenario.name and chart.id are required")
-    chart_params = floats("chart.params")
+    chart_params = numbers("chart.params", float)
 
     domain = None
     kind = values.pop("domain.kind", "")
     if kind == "rectangle":
-        bounds = floats("domain.bounds")
+        bounds = numbers("domain.bounds", float)
         if len(bounds) % 2:
             raise ConfigError("domain.bounds needs an even number of entries")
         domain = Rectangle(tuple((bounds[2 * i], bounds[2 * i + 1])
                                  for i in range(len(bounds) // 2)))
     elif kind == "disk":
-        center = floats("domain.center", (0.0, 0.0))
-        radius = floats("domain.radius", (1.0,))[0]
+        center = numbers("domain.center", float, (0.0, 0.0))
+        radius = scalar("domain.radius", float, 1.0)
         domain = Disk(center, radius)
     elif kind:
         raise ConfigError(f"unknown domain.kind {kind!r}")
@@ -153,16 +200,16 @@ def parse_config(text):
         chart_params=chart_params,
         domain=domain,
         eta_kind=values.pop("eta.kind", "zero"),
-        eta_params=floats("eta.params"),
+        eta_params=numbers("eta.params", float),
         eta_expr=values.pop("eta.expr", ""),
         tensor_kind=values.pop("tensor.kind", "metric"),
-        tensor_params=floats("tensor.params"),
+        tensor_params=numbers("tensor.params", float),
         tensor_expr=values.pop("tensor.expr", ""),
-        resolutions=ints("mesh.resolutions"),
-        k_max=ints("eigen.k_max", (13,))[0],
+        resolutions=numbers("mesh.resolutions", int),
+        k_max=scalar("eigen.k_max", int, 13),
         checks=tuple(values.pop("checks", "all").split()),
-        c_values=floats("appendix.c", (1.0,)),
-        constants_resolution=ints("constants.resolution", (64,))[0],
+        c_values=numbers("appendix.c", float, (1.0,)),
+        constants_resolution=scalar("constants.resolution", int, 64),
         output_dir=values.pop("output.dir", ""),
     )
     if values:
@@ -217,46 +264,22 @@ def _richardson(resolutions, values):
 def _run_checks(scenario, chart, consts, mesh, result):
     """Evaluate every requested inequality at the finest resolution."""
     k_list = list(range(1, scenario.k_max))
-    spec = bnd.Spectrum(result.eigenvalues, chart.dim_n, "computed")
+    families = [family for name, family in CHECKS.items() if name in scenario.active_checks]
+    spectra = {"raw": bnd.Spectrum(result.eigenvalues, chart.dim_n, "computed")}
+    ctx = SimpleNamespace(chart=chart, consts=consts, c_values=scenario.c_values, quad=None)
+    if any(family.needs_quad for family in families):
+        ctx.quad = EigenfunctionQuadrature(chart, mesh, result.vertex_values)
+    if any(family.spectrum == "shifted" for family in families):
+        spectra["shifted"] = bnd.upsilon_shift(spectra["raw"], consts)
+
     reports = []
-    active = scenario.active_checks
-    needs_quad = "thm_tensor" in active or "proposition_testfunction" in active
-    quad = EigenfunctionQuadrature(chart, mesh, result.vertex_values) if needs_quad else None
-
-    shifted = None
-    if any(name in active for name in
-           ("corollary_trio", "polya_type", "cheng_yang_type",
-            "recursion_lemma", "lemma_c_bound")):
-        shifted = bnd.upsilon_shift(spec, consts)
-
     for k in k_list:
-        if "thm_drift" in active:
-            reports.append(bnd.check_thm_drift(spec, consts, k))
-        if "thm_tensor" in active:
-            reports.append(bnd.check_thm_tensor(spec, consts, k, mode="inf_trace"))
-            reports.append(bnd.check_thm_tensor(spec, consts, k, mode="integrated", quad=quad))
-        if "corollary_trio" in active:
-            reports.extend(bnd.check_corollary_trio(shifted, k))
-        if "polya_type" in active:
-            reports.append(bnd.check_polya_type(shifted, chart.dim_n,
-                                                consts.vol_omega, k))
-        if "cheng_yang_type" in active:
-            reports.append(bnd.check_cheng_yang_type(shifted, chart.dim_n, k))
-        if "recursion_lemma" in active:
-            for c in scenario.c_values:
-                _, report = bnd.recursion_lemma(shifted, chart.dim_n, c, k)
-                reports.append(report)
-        if "lemma_c_bound" in active:
-            for c in scenario.c_values:
-                reports.append(bnd.lemma_c_bound(shifted, chart.dim_n, c, k))
-        if "intro_comparators" in active:
-            reports.extend(bnd.intro_comparators(spec, chart.dim_n, k, consts=consts))
-    if "proposition_testfunction" in active:
-        from .geometry import AmbientCoordinate
-        for axis in range(chart.dim_m):
-            h_field = AmbientCoordinate(chart, axis)
-            reports.extend(bnd.proposition_reports(
-                quad, result.eigenvalues, h_field, k_list, label=f"h=x{axis + 1}"))
+        for family in families:
+            if family.per_k:
+                reports.extend(family.run(spectra[family.spectrum], ctx, k))
+    for family in families:
+        if not family.per_k:
+            reports.extend(family.run(spectra[family.spectrum], ctx, k_list))
     return reports
 
 
@@ -384,5 +407,5 @@ def catalog_text():
     lines.append("tensor builtins:")
     lines += [f"  {name}" for name in tensor_ids()]
     lines.append("checks:")
-    lines += [f"  {name}" for name in CHECK_NAMES]
+    lines += [f"  {name}" for name in sorted(CHECKS)]
     return "\n".join(lines) + "\n"

@@ -1,5 +1,8 @@
 """Shared pipeline shortcuts for the test suite."""
 
+import math
+import os
+
 import numpy as np
 
 from spectralab.assembly import EigenfunctionQuadrature, assemble
@@ -42,3 +45,52 @@ def weighted_volume(chart, nodes=64):
     g = np.einsum("pai,paj->pij", jac, jac)
     det = np.linalg.det(g) if chart.dim_n > 1 else g[:, 0, 0]
     return float((wts * np.exp(-chart.eta.value(pts)) * np.sqrt(det)).sum())
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden_scenarios.json")
+GOLDEN_REL = 1e-10
+
+
+def _num(x):
+    """JSON-safe float: non-finite values are kept as their string form."""
+    x = float(x)
+    return x if math.isfinite(x) else str(x)
+
+
+def scenario_snapshot(run):
+    """Eigenvalues per resolution and every report row of one RunResult."""
+    return {
+        "eigenvalues": {str(res): [float(v) for v in values]
+                        for res, values in run.eigenvalues.items()},
+        "reports": [[r.name, r.k, _num(r.lhs), _num(r.rhs), _num(r.ratio),
+                     r.holds, r.skipped] for r in run.reports],
+    }
+
+
+def _close(actual, expected):
+    if isinstance(expected, str):
+        return str(actual) == expected
+    return abs(actual - expected) <= GOLDEN_REL * abs(expected)
+
+
+def golden_mismatches(snapshot, expected):
+    """Differences from a recorded snapshot: names, k, row order, holds and
+    skipped exactly; eigenvalues, lhs, rhs and ratio to GOLDEN_REL relative."""
+    problems = []
+    if sorted(snapshot["eigenvalues"]) != sorted(expected["eigenvalues"]):
+        problems.append(("resolutions", sorted(snapshot["eigenvalues"]),
+                         sorted(expected["eigenvalues"])))
+    for res, values in expected["eigenvalues"].items():
+        got = snapshot["eigenvalues"].get(res, [])
+        if len(got) != len(values) or not all(map(_close, got, values)):
+            problems.append(("eigenvalues", res, got, values))
+    rows, want = snapshot["reports"], expected["reports"]
+    if len(rows) != len(want):
+        problems.append(("report count", len(rows), len(want)))
+    for index, (row, ref) in enumerate(zip(rows, want)):
+        name, k, lhs, rhs, ratio, holds, skipped = row
+        if ([name, k, holds, skipped] != [ref[0], ref[1], ref[5], ref[6]]
+                or not all(map(_close, (lhs, rhs, ratio), ref[2:5]))):
+            problems.append(("report", index, row, ref))
+    return problems

@@ -14,6 +14,7 @@ tolerance, not of the implementation.
 """
 
 import glob
+import json
 import math
 import os
 import time
@@ -21,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import pipeline
+from helpers import GOLDEN_PATH, golden_mismatches, pipeline, scenario_snapshot
 from spectralab.assembly import assemble
 from spectralab.bounds import (
     Spectrum,
@@ -112,22 +113,31 @@ def test_criterion_4_inequality_suite(tmp_path):
     start = time.perf_counter()
     configs = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.cfg")))
     assert len(configs) == 9
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)
+    assert sorted(golden) == sorted(load_scenario(p).name for p in configs)
     failures = []
+    drift = {}
     for path in configs:
         scenario = load_scenario(path)
         run = run_scenario(scenario, out_dir=str(tmp_path / scenario.name))
         if run.exit_code != 0:
             failures.append((scenario.name, run.exit_code, run.messages[:3]))
+        mismatches = golden_mismatches(scenario_snapshot(run), golden[scenario.name])
+        if mismatches:
+            drift[scenario.name] = mismatches[:3]
     verify_codes = {}
     for path in configs:
         name = os.path.basename(path)
         verify_codes[name] = cli_main(["verify", path])
     elapsed = time.perf_counter() - start
-    ok = not failures and all(code == 0 for code in verify_codes.values()) \
-        and elapsed <= 600.0
+    ok = not failures and not drift \
+        and all(code == 0 for code in verify_codes.values()) and elapsed <= 600.0
     _line(4, ok, f"{len(configs)} scenarios, verify exits "
-                 f"{sorted(set(verify_codes.values()))}, t={elapsed:.0f}s")
+                 f"{sorted(set(verify_codes.values()))}, "
+                 f"{len(drift)} off the golden outputs, t={elapsed:.0f}s")
     assert not failures, failures
+    assert not drift, drift
     assert all(code == 0 for code in verify_codes.values())
     assert elapsed <= 600.0
 

@@ -178,10 +178,17 @@ def test_missing_config_file_exit_two(capsys):
 @pytest.mark.parametrize("key,bad", [
     ("mesh.resolutions", "4 8 1o"),   # ints
     ("appendix.c", "1 2,5"),          # floats
+    ("eigen.k_max", ""),              # scalars: exactly one value
+    ("eigen.k_max", "3 4"),
+    ("constants.resolution", ""),
+    ("domain.radius", ""),
 ])
 def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
+    base = SMALL_CONFIG
+    if key == "domain.radius":
+        base += "domain.kind = disk\ndomain.radius = 1\n"
     text = "\n".join(f"{key} = {bad}" if line.startswith(f"{key} =") else line
-                     for line in SMALL_CONFIG.splitlines())
+                     for line in base.splitlines())
     assert f"{key} = {bad}" in text
     cfg = _write(tmp_path, "bad.cfg", text)
     result = subprocess.run(

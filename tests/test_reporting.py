@@ -4,10 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectralab.errors import ConfigError
+from spectralab.errors import ConfigError, SpectralabError
+from spectralab.geometry import chart_ids
 from spectralab.reporting import (
-    CHECK_NAMES,
+    CHECKS,
     Scenario,
     build_chart,
     catalog_text,
@@ -102,7 +105,7 @@ def test_scenario_validation():
 
 def test_catalog_lists_all_checks():
     text = catalog_text()
-    for name in CHECK_NAMES:
+    for name in CHECKS:
         assert name in text
 
 
@@ -124,3 +127,30 @@ eigen.k_max = 3
     tensor = chart.tensor.value(pts, g)
     assert tensor[0, 0, 0] == pytest.approx(1.25)
     assert tensor[0, 0, 1] == 0.0
+
+
+SCENARIO_KEYS = ["chart.params", "domain.kind", "domain.bounds", "domain.center",
+                 "domain.radius", "eta.kind", "eta.params", "eta.expr", "tensor.kind",
+                 "tensor.params", "tensor.expr", "mesh.resolutions", "eigen.k_max",
+                 "checks", "appendix.c", "constants.resolution", "output.dir"]
+VALUE_TOKENS = (chart_ids() + sorted(CHECKS)
+                + ["rectangle", "disk", "zero", "linear", "radial_quadratic", "expr",
+                   "metric", "diag", "all", "0", "1", "-1", "2", "0.5", "1e400", "nan",
+                   "inf", "8", "16", "1o", "x*y", "sin(x", "1/0", "x; 0; 1", ";", "#"])
+scenario_values = st.one_of(
+    st.lists(st.sampled_from(VALUE_TOKENS), max_size=4).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chart_id=st.one_of(st.sampled_from(chart_ids()), scenario_values),
+       entries=st.dictionaries(st.sampled_from(SCENARIO_KEYS), scenario_values,
+                               max_size=8))
+def test_scenario_text_builds_a_chart_or_raises_module_error(chart_id, entries):
+    lines = ["scenario.name = fuzz", f"chart.id = {chart_id}"]
+    lines += [f"{key} = {value}" for key, value in entries.items()]
+    try:
+        build_chart(parse_config("\n".join(lines)))
+    except SpectralabError:
+        pass
