@@ -16,8 +16,6 @@ from .reporting import catalog_text, load_scenario, run_scenario
 
 def _add_scenario_args(parser):
     parser.add_argument("config", help="scenario configuration file")
-    parser.add_argument("--parallel", action="store_true",
-                        help="solve independent resolutions concurrently")
 
 
 def main(argv=None):
@@ -46,7 +44,7 @@ def main(argv=None):
         return 2
 
     if args.command == "run":
-        run = run_scenario(scenario, parallel=args.parallel)
+        run = run_scenario(scenario)
         for message in run.messages:
             print(message, file=sys.stderr)
         if run.exit_code == 0:
@@ -55,7 +53,7 @@ def main(argv=None):
         return run.exit_code
 
     if args.command == "verify":
-        run = run_scenario(scenario, parallel=args.parallel, write=False)
+        run = run_scenario(scenario, write=False)
         evaluated = [r for r in run.reports if not r.skipped]
         for report in evaluated:
             if not report.holds:
@@ -70,7 +68,7 @@ def main(argv=None):
         return run.exit_code
 
     # convergence: spectra + extrapolation tables, no inequality checks
-    run = run_scenario(scenario, parallel=args.parallel, checks=False)
+    run = run_scenario(scenario, checks=False)
     for message in run.messages:
         print(message, file=sys.stderr)
     return run.exit_code

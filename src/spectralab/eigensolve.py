@@ -8,7 +8,9 @@ Two routes are provided and cross-checked against each other:
 * :func:`solve_sparse` is a shift-invert Lanczos iteration in the B inner
   product with full reorthogonalization; the sparse factorization of
   ``A - sigma B`` (symmetric minimum-degree ordering) is computed once and
-  reused across iterations.
+  reused across iterations.  One loop of deflated sweeps first fills the
+  lowest ``k`` pairs and then certifies that no copy of a multiple
+  eigenvalue is missing among them.
 
 Eigenvectors are B-normalized and sign-fixed (largest-magnitude component
 positive) for reproducible reports.
@@ -16,7 +18,7 @@ positive) for reproducible reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -115,112 +117,99 @@ def solve_dense(a, b, k, tol=DEFAULT_TOL):
     return SpectralResult(eigenvalues, vectors, residuals, "dense", 1, tol)
 
 
-class _LanczosSweep:
-    """One B-Lanczos run on (A - sigma B)^-1 B with optional deflation.
+INITIAL_ROWS = 32  # starting rows of a sweep's basis buffer; it doubles when full
 
-    The Lanczos vectors are the rows of one buffer that doubles when full;
-    after ``m`` steps the basis is the view of its first ``m`` rows.
-    ``B`` times the basis is never stored: each reorthogonalization pass
-    applies ``B`` to the vector being orthogonalized instead.
+
+def _b_norm(b_csr, w):
+    """Return the B-norm of ``w`` and ``B w``."""
+    bw = b_csr @ w
+    return float(np.sqrt(np.abs(w @ bw))), bw
+
+
+def _project_out(w, qmat, b_csr, deflate):
+    """Two passes of B-orthogonalization against ``qmat`` and the
+    ``(vectors, B vectors)`` deflation pair (or None)."""
+    for _ in range(2):
+        if deflate is not None:
+            w -= deflate[0].T @ (deflate[1] @ w)
+        if len(qmat):
+            w -= qmat.T @ (qmat @ (b_csr @ w))
+    return w
+
+
+def _fresh_vector(rng, qmat, b_csr, deflate):
+    """A random unit B-norm vector B-orthogonal to ``qmat`` and the
+    deflation set, with its B-image; None if none is left."""
+    w = _project_out(rng.standard_normal(b_csr.shape[0]), qmat, b_csr, deflate)
+    norm, bw = _b_norm(b_csr, w)
+    if norm <= 1e-12:
+        return None
+    return w / norm, bw / norm
+
+
+def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
+    """One B-Lanczos run on (A - sigma B)^-1 B, B-orthogonal to the rows of
+    ``deflate`` (or None), for the lowest ``want`` pairs of the deflated pencil.
+
+    Returns ``(lams, vecs, residuals, steps)`` once they reach ``tol`` or the
+    Krylov space is exhausted (else the last estimates within ``step_cap``
+    steps), or None when the deflation set spans the whole space.  The basis
+    rows live in one buffer that doubles when full; ``B Q`` is never stored.
     """
+    n = b_csr.shape[0]
+    space = n - (0 if deflate is None else len(deflate))
+    if space <= 0:
+        return None
+    if deflate is not None:
+        deflate = (deflate, (b_csr @ deflate.T).T)
+    want, steps = min(want, space), min(step_cap, space)
+    basis = np.empty((min(INITIAL_ROWS, steps + 1), n))
+    last = (np.zeros(0), np.zeros((0, n)), np.zeros(0), step_cap)
+    start = _fresh_vector(rng, basis[:0], b_csr, deflate)
+    if start is None:
+        return (*last[:3], 0)
+    basis[0], bv = start
+    alphas, betas = [], []
 
-    INITIAL_ROWS = 32
+    for m in range(1, steps + 1):
+        qmat = basis[:m]
+        w = lu.solve(bv)
+        alphas.append(float(bv @ w))
+        w -= alphas[-1] * qmat[-1]
+        if betas and betas[-1] != 0.0:
+            w -= betas[-1] * qmat[-2]
+        w = _project_out(w, qmat, b_csr, deflate)
+        beta, bw = _b_norm(b_csr, w)
 
-    def __init__(self, lu, b_csr, sigma, tol, rng, deflate_vecs, deflate_bvecs):
-        self.lu = lu
-        self.b_csr = b_csr
-        self.sigma = sigma
-        self.tol = tol
-        self.rng = rng
-        self.deflate = deflate_vecs      # (d, n) or None
-        self.deflate_b = deflate_bvecs   # (d, n) or None
-        self.n = b_csr.shape[0]
-        self.space = self.n - (0 if deflate_vecs is None else len(deflate_vecs))
+        if m >= want:
+            theta, s = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[:m - 1]))
+            order = np.argsort(theta)[::-1][:want]
+            ests = beta * np.abs(s[-1, order])
+            gate = ests <= 10.0 * max(tol, 1e-13) * np.maximum(np.abs(theta[order]), 1e-30)
+            if np.all(gate) or m == space:
+                vecs = s[:, order].T @ qmat
+                lams = sigma + 1.0 / theta[order]
+                idx = np.argsort(lams)
+                lams, vecs = lams[idx], vecs[idx]
+                res = _relative_residuals(a_csr, b_csr, lams, vecs)
+                last = (lams, vecs, res, m)
+                if np.all(res <= tol) or m == space:
+                    return last
 
-    def _b_norm(self, w):
-        """Return the B-norm of ``w`` and ``B w``."""
-        bw = self.b_csr @ w
-        return float(np.sqrt(np.abs(w @ bw))), bw
-
-    def _project_out(self, w, qmat):
-        for _ in range(2):
-            if self.deflate is not None and len(self.deflate):
-                w -= self.deflate.T @ (self.deflate_b @ w)
-            if len(qmat):
-                w -= qmat.T @ (qmat @ (self.b_csr @ w))
-        return w
-
-    def _fresh_vector(self, qmat):
-        """A random unit B-norm vector B-orthogonal to ``qmat`` and the
-        deflation set, with its B-image; None if none is left."""
-        w = self._project_out(self.rng.standard_normal(self.n), qmat)
-        norm, bw = self._b_norm(w)
-        if norm <= 1e-12:
-            return None
-        return w / norm, bw / norm
-
-    def run(self, want, step_cap, residual_fn):
-        """Iterate until the lowest ``want`` pairs of the deflated pencil
-        pass ``residual_fn``; returns (lams, vecs, residuals, steps)."""
-        want = min(want, self.space)
-        empty = (np.zeros(0), np.zeros((0, self.n)), np.zeros(0))
-        if want == 0:
-            return (*empty, 0)
-        rows = min(step_cap, self.space) + 1
-        basis = np.empty((min(self.INITIAL_ROWS, rows), self.n))
-        start = self._fresh_vector(basis[:0])
-        if start is None:
-            return (*empty, 0)
-        basis[0], bv = start
-        alphas, betas = [], []
-        last = (*empty, step_cap)
-
-        for step in range(min(step_cap, self.space)):
-            m = step + 1
-            qmat = basis[:m]
-            w = self.lu.solve(bv)
-            alphas.append(float(bv @ w))
-            w -= alphas[-1] * qmat[-1]
-            if betas and betas[-1] != 0.0:
-                w -= betas[-1] * qmat[-2]
-            w = self._project_out(w, qmat)
-            beta, bw = self._b_norm(w)
-
-            if m >= want:
-                theta, s = sla.eigh_tridiagonal(np.array(alphas),
-                                                np.array(betas[:m - 1]))
-                order = np.argsort(theta)[::-1][:want]
-                ests = beta * np.abs(s[-1, order])
-                gate = ests <= 10.0 * max(self.tol, 1e-13) * np.maximum(
-                    np.abs(theta[order]), 1e-30)
-                exhausted = m == self.space
-                if np.all(gate) or exhausted:
-                    vecs = s[:, order].T @ qmat
-                    lams = self.sigma + 1.0 / theta[order]
-                    idx = np.argsort(lams)
-                    lams, vecs = lams[idx], vecs[idx]
-                    res = residual_fn(lams, vecs)
-                    last = (lams, vecs, res, step + 1)
-                    if np.all(res <= self.tol) or exhausted:
-                        return last
-
-            if m == self.space:
+        if beta <= 1e-14 * max(1.0, abs(alphas[-1])):
+            fresh = _fresh_vector(rng, qmat, b_csr, deflate)
+            if fresh is None:
                 break
-            if beta <= 1e-14 * max(1.0, abs(alphas[-1])):
-                fresh = self._fresh_vector(qmat)
-                if fresh is None:
-                    break
-                v, bv = fresh
-                betas.append(0.0)
-            else:
-                betas.append(beta)
-                v, bv = w / beta, bw / beta
-            if m == len(basis):
-                grown = np.empty((min(2 * m, rows), self.n))
-                grown[:m] = basis
-                basis = grown
-            basis[m] = v
-        return last
+            (v, bv), beta = fresh, 0.0
+        else:
+            v, bv = w / beta, bw / beta
+        betas.append(beta)
+        if m == len(basis):
+            grown = np.empty((min(2 * m, steps + 1), n))
+            grown[:m] = basis
+            basis = grown
+        basis[m] = v
+    return last
 
 
 def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
@@ -231,12 +220,11 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     ``MMD_AT_PLUS_A``), which suits the symmetric pencil.  The Krylov basis
     is kept B-orthonormal with full (two-pass) reorthogonalization and is
     stored once, so a sweep of ``steps`` Lanczos steps on an ``n``-dof
-    pencil holds about ``n * steps * 8`` bytes of basis.  Because a
-    single-vector Krylov space sees one copy of each eigenvalue, converged
-    pairs are certified by deflated restart sweeps: a fresh start vector,
-    orthogonalized against everything found, must not expose an eigenvalue
-    below the current k-th; otherwise the missing copy is merged and the
-    sweep repeats.
+    pencil holds about ``n * steps * 8`` bytes of basis.  A single-vector
+    Krylov space sees one copy of each eigenvalue, so one loop runs sweeps
+    deflated against the pairs found so far: fill sweeps until there are
+    ``k``, then certification sweeps for one more pair.  A pair below the
+    k-th is a hidden copy and is added; none certifies the lowest ``k``.
     Converged pairs satisfy ``|A x - lambda B x| <= tol (1+lambda) |B x|``.
 
     Parameters
@@ -263,84 +251,37 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
         raise ShiftError(f"factorization of A - sigma B failed (sigma={sigma}): {exc}") from exc
 
     rng = np.random.default_rng(seed)
-    pool_lams = []
-    pool_vecs = []
-    steps_used = 0
-    best_residuals = None
+    pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
+    while steps_used < maxiter:
+        certify = len(pool_lams) >= k  # else fill: sweep for the k - found missing
+        if certify:
+            order = np.argsort(pool_lams)[:k]
+            pool_lams = [pool_lams[i] for i in order]
+            pool_vecs = [pool_vecs[i] for i in order]
+        sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng,
+                               np.array(pool_vecs) if pool_vecs else None,
+                               1 if certify else k - len(pool_lams), maxiter - steps_used)
+        if sweep is None:
+            break  # the pool spans the whole space
+        lams, vecs, res, steps = sweep
+        steps_used += max(steps, 1)
+        if (certify and len(lams)
+                and lams[0] >= pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))):
+            break  # no hidden copy below the k-th: certified
+        if len(lams):
+            best_residuals = res
+            for lam, vec, ok in zip(lams, vecs, res <= tol):
+                if ok:
+                    pool_lams.append(float(lam))
+                    pool_vecs.append(vec / np.sqrt(np.abs(vec @ (b_csr @ vec))))
 
-    def deflation_arrays():
-        if not pool_vecs:
-            return None, None
-        mat = np.array(pool_vecs)
-        return mat, (b_csr @ mat.T).T
-
-    def make_sweep():
-        deflate, deflate_b = deflation_arrays()
-        return _LanczosSweep(lu, b_csr, sigma, tol, rng, deflate, deflate_b)
-
-    def residual_fn(lams, vecs):
-        return _relative_residuals(a_csr, b_csr, lams, vecs)
-
-    def merge(lams, vecs, res):
-        nonlocal best_residuals
-        best_residuals = res
-        merged = 0
-        for lam, vec, ok in zip(lams, vecs, res <= tol):
-            if ok:
-                pool_lams.append(float(lam))
-                pool_vecs.append(vec / np.sqrt(np.abs(vec @ (b_csr @ vec))))
-                merged += 1
-        return merged
-
-    def finalize():
+    if len(pool_lams) >= k:
         order = np.argsort(pool_lams)[:k]
         lams = np.array([pool_lams[i] for i in order])
-        vecs = np.array([pool_vecs[i] for i in order])
-        _fix_signs(vecs)
+        vecs = _fix_signs(np.array([pool_vecs[i] for i in order]))
         res = _relative_residuals(a_csr, b_csr, lams, vecs)
         if np.all(res <= tol):
             return SpectralResult(lams, vecs, res, "sparse", steps_used, tol)
-        return None
-
-    while steps_used < maxiter:
-        if len(pool_lams) < k:
-            sweep = make_sweep()
-            if sweep.space == 0:
-                break  # pool spans the whole space but is short of k: give up
-            lams, vecs, res, steps = sweep.run(k - len(pool_lams),
-                                               maxiter - steps_used, residual_fn)
-            steps_used += max(steps, 1)
-            if len(lams):
-                merge(lams, vecs, res)
-            continue
-        # pool complete: keep the lowest k, then certify by a deflated sweep
-        order = np.argsort(pool_lams)[:k]
-        pool_lams[:] = [pool_lams[i] for i in order]
-        pool_vecs[:] = [pool_vecs[i] for i in order]
-        sweep = make_sweep()
-        if sweep.space == 0:
-            result = finalize()
-            if result is not None:
-                return result
-            break
-        lams2, vecs2, res2, steps2 = sweep.run(1, maxiter - steps_used, residual_fn)
-        steps_used += max(steps2, 1)
-        gap_tol = 10.0 * tol * (1.0 + abs(pool_lams[-1]))
-        if len(lams2) and lams2[0] < pool_lams[-1] - gap_tol:
-            merge(lams2, vecs2, res2)  # a copy below the k-th was hiding
-            continue
-        if len(lams2) == 0:
-            continue
-        result = finalize()
-        if result is not None:
-            return result
-        break
-
-    if len(pool_lams) >= k:
-        result = finalize()
-        if result is not None:
-            return result
-
     raise ConvergenceError(
         f"Lanczos did not converge within {maxiter} iterations",
         best_residuals=best_residuals)

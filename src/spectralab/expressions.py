@@ -181,12 +181,18 @@ class CompiledExpression:
     def __init__(self, text, dim):
         self.text = text
         self.dim = dim
-        self._ast = _Parser(_tokenize(text), dim).parse()
+        try:
+            self._ast = _Parser(_tokenize(text), dim).parse()
+        except RecursionError:
+            raise ParameterError(f"expression {text[:20]!r}... nested too deeply") from None
 
     def __call__(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        with np.errstate(all="ignore"):
-            values = _evaluate(self._ast, points)
+        try:
+            with np.errstate(all="ignore"):
+                values = _evaluate(self._ast, points)
+        except RecursionError:
+            raise EvaluationError(f"expression {self.text[:20]!r}... nested too deeply") from None
         if not np.all(np.isfinite(values)):
             raise EvaluationError(
                 f"expression {self.text!r} produced non-finite values")

@@ -637,8 +637,11 @@ def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
     points = np.atleast_2d(points)
     _, alpha, _ = second_fundamental_form(chart, points)
-    g = metric(chart, points, check_domain=False)
-    ginv = _inv_spd(g)
+    return _shape_norms(alpha, _inv_spd(metric(chart, points, check_domain=False)))
+
+
+def _shape_norms(alpha, ginv):
+    """Per-normal Hilbert-Schmidt norms of second-form components ``alpha``."""
     sq = np.einsum("pia,pjb,pkij,pkab->pk", ginv, ginv, alpha, alpha)
     return np.sqrt(np.maximum(sq, 0.0))
 
@@ -797,7 +800,7 @@ def compute_constants(chart, resolution):
     if chart.dim_m > chart.dim_n:
         _, alpha, mean_curv = second_fundamental_form(chart, pts)
         h0 = float(np.linalg.norm(mean_curv, axis=1).max())
-        a0 = float(shape_operator_norms(chart, pts).max())
+        a0 = float(_shape_norms(alpha, ginv).max())
     else:
         h0 = 0.0
         a0 = 0.0

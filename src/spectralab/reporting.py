@@ -22,7 +22,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -293,14 +292,14 @@ class RunResult:
     eigenvalues: dict = field(default_factory=dict)
 
 
-def run_scenario(scenario, out_dir=None, parallel=False, write=True,
-                 checks=True):
+def run_scenario(scenario, out_dir=None, write=True, checks=True):
     """Run the full pipeline for one scenario.
 
     Returns a :class:`RunResult` whose ``exit_code`` follows the contract:
     0 when every evaluated inequality holds within slack, 1 when some check
     failed, 2 on a module error (partial outputs retained with a MANIFEST
-    noting incompleteness).
+    noting incompleteness).  The resolution levels are solved one after
+    another in ascending order.
     """
     if out_dir is None:
         root = os.environ.get("SPECTRA_OUT")
@@ -323,15 +322,8 @@ def run_scenario(scenario, out_dir=None, parallel=False, write=True,
         chart = build_chart(scenario)
         consts = compute_constants(chart, scenario.constants_resolution)
 
-        levels = {}
-        if parallel and len(scenario.resolutions) > 1:
-            with ThreadPoolExecutor(max_workers=len(scenario.resolutions)) as pool:
-                futures = {res: pool.submit(_solve_level, chart, res, scenario.k_max)
-                           for res in scenario.resolutions}
-                levels = {res: futures[res].result() for res in scenario.resolutions}
-        else:
-            for res in scenario.resolutions:
-                levels[res] = _solve_level(chart, res, scenario.k_max)
+        levels = {res: _solve_level(chart, res, scenario.k_max)
+                  for res in scenario.resolutions}
 
         lines = ["resolution,k,lambda,residual"]
         for res in scenario.resolutions:

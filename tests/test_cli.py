@@ -86,14 +86,6 @@ def test_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_parallel_outputs_merge_in_order(tmp_path):
-    scenario = parse_config(SMALL_CONFIG)
-    run_scenario(scenario, out_dir=str(tmp_path / "seq"))
-    run_scenario(scenario, out_dir=str(tmp_path / "par"), parallel=True)
-    for name in ("eigenvalues.csv", "bounds.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-
-
 def test_exit_contract_matches_bounds_rows(tmp_path, capsys):
     cfg = _write(tmp_path, "failing.cfg", FAILING_CONFIG)
     env_out = str(tmp_path / "out_failing")
@@ -210,3 +202,26 @@ def test_module_entry_point(tmp_path):
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert result.returncode == 0
     assert "flat_rectangle" in result.stdout
+
+
+def test_deeply_nested_expression_exits_two_without_traceback(tmp_path):
+    text = SMALL_CONFIG.replace("eta.kind = zero",
+                                "eta.kind = expr\neta.expr = " + "(" * 1000 + "x" + ")" * 1000)
+    cfg = _write(tmp_path, "deep.cfg", text)
+    result = subprocess.run(
+        [sys.executable, "-m", "spectralab", "run", cfg],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src", "SPECTRA_OUT": str(tmp_path / "out")},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "ParameterError" in result.stderr
+    assert "status incomplete" in (tmp_path / "out" / "smoke" / "MANIFEST").read_text()
+
+
+def test_parallel_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "smoke.cfg", SMALL_CONFIG)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", cfg, "--parallel"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err

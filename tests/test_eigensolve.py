@@ -9,7 +9,7 @@ from helpers import pipeline
 from spectralab.assembly import assemble
 from spectralab.eigensolve import (
     DENSE_LIMIT,
-    _LanczosSweep,
+    INITIAL_ROWS,
     solve_dense,
     solve_sparse,
     vertex_fields,
@@ -82,7 +82,7 @@ def test_sparse_matches_dense_past_initial_basis_buffer():
     a_mat, b_mat, _ = assemble(chart, mesh)
     assert a_mat.dim == 1521
     k = 60
-    assert k > _LanczosSweep.INITIAL_ROWS
+    assert k > INITIAL_ROWS
     _assert_sparse_matches_dense(a_mat, b_mat, k)
 
 
@@ -198,3 +198,15 @@ def test_small_problem_exhausts_krylov_space():
     a, b = _diag_problem([1.0, 1.0, 2.0, 5.0])
     result = solve_sparse(a, b, 3)
     assert np.allclose(result.eigenvalues, [1.0, 1.0, 2.0])
+
+
+def test_triple_multiplicity_certified():
+    # in exact arithmetic a single-vector Krylov space holds one copy of the
+    # triple eigenvalue; the others must be found by certification sweeps
+    # that deflate the pairs found so far, on a space they do not exhaust
+    a, b = _diag_problem([1.0, 1.0, 1.0] + [float(v) for v in range(2, 42)])
+    result = solve_sparse(a, b, 5)
+    assert np.allclose(result.eigenvalues, [1.0, 1.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-10)
+    assert result.residuals.max() <= 1e-8
+    gram = result.vectors @ (b @ result.vectors.T)
+    assert np.abs(gram - np.eye(5)).max() <= 1e-8

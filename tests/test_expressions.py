@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -59,3 +60,24 @@ def test_non_finite_values_raise():
 def test_division_and_precedence():
     fn = compile_expression("1 + 4/2*3", 1)
     assert fn([[0.0]])[0] == 7.0
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 1000 + "x" + ")" * 1000,
+    "-" * 5000 + "x",
+    "2^" * 3000 + "x",
+], ids=["parentheses", "unary_minus", "power"])
+def test_deep_nesting_rejected(text):
+    with pytest.raises(ParameterError):
+        compile_expression(text, 1)
+
+
+def test_deep_nesting_evaluation_raises_module_error():
+    fn = compile_expression("-" * 400 + "x", 1)
+
+    def nested(depth):
+        return nested(depth - 1) if depth else fn([[1.0]])
+
+    # evaluating from deep inside a call stack exhausts the recursion limit
+    with pytest.raises(EvaluationError):
+        nested(sys.getrecursionlimit() - 300)
