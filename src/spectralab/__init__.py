@@ -8,11 +8,11 @@ spectra.
 """
 
 from .geometry import (
+    CHARTS,
     Chart,
     Disk,
     GeometricConstants,
     Rectangle,
-    chart_ids,
     compute_constants,
     make_chart,
     make_eta,
@@ -49,7 +49,7 @@ from .reporting import Scenario, load_scenario, parse_config, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "Disk", "GeometricConstants", "Rectangle", "chart_ids",
+    "CHARTS", "Chart", "Disk", "GeometricConstants", "Rectangle",
     "compute_constants", "make_chart", "make_eta", "make_tensor", "metric",
     "omega_n", "second_fundamental_form",
     "Mesh", "build_structured",

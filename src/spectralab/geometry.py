@@ -14,6 +14,7 @@ volume) that enter the eigenvalue bounds in :mod:`spectralab.bounds`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,6 +104,8 @@ class Disk:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if len(self.center) != 2:
+            raise ParameterError(f"disk center needs 2 coordinates, got {len(self.center)}")
         if self.radius <= 0:
             raise ParameterError("disk radius must be positive")
 
@@ -543,6 +546,15 @@ def _inv_spd(g):
     return inv
 
 
+def chart_fields(chart, points):
+    """Metric g, its inverse, the tensor T and the conductivity
+    K = g^-1 T g^-1 at points, each of shape ``(N, n, n)``."""
+    g = metric(chart, points, check_domain=False)
+    ginv = _inv_spd(g)
+    t = chart.tensor.value(points, g)
+    return g, ginv, t, np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+
+
 def pair_eigenvalues(t, g):
     """Eigenvalues of the pencil (T, g) for batched 1x1 / 2x2 symmetric pairs."""
     n = t.shape[-1]
@@ -568,15 +580,8 @@ def not_spd(t, g):
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
-def check_tensor_spd(chart, points, t=None, g=None):
+def check_tensor_spd(points, t, g):
     """Raise :class:`TensorError` if T is not SPD relative to g at a sample."""
-    points = np.atleast_2d(points)
-    if g is None:
-        g = metric(chart, points, check_domain=False)
-    if t is None:
-        t = chart.tensor.value(points, g)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
-        raise EvaluationError("non-finite field values in tensor/metric")
     bad = not_spd(t, g)
     if np.any(bad):
         where = points[bad][0]
@@ -654,28 +659,32 @@ def second_form_hs_norm(chart, points):
     return np.sqrt((norms ** 2).sum(axis=1))
 
 
-def apply_operator_pointwise(chart, field, points, identity_tensor=False,
-                             step_rel=FLUX_STEP_REL):
+def _step(chart, rel):
+    """Finite-difference step: ``rel`` times the largest domain extent."""
+    return rel * float(chart.domain.extents.max())
+
+
+def apply_operator_pointwise(chart, field, points, identity_tensor=False):
     """Divergence-form operator applied to a scalar field, pointwise.
 
     Computes ``(1/sqrt(det g)) d_i(sqrt(det g) K^ij d_j h) - K^ij d_i eta d_j h``
     with ``K = g^-1 T g^-1``; the outer derivative is a central difference
-    with step ``step_rel * max(domain extent)``.  With ``identity_tensor``
-    the coefficient tensor is replaced by the metric (drifting-Laplacian
-    case).
+    with step ``FLUX_STEP_REL * max(domain extent)``.  With
+    ``identity_tensor`` the coefficient tensor is replaced by the metric
+    (drifting-Laplacian case).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = chart.dim_n
-    step = step_rel * float(chart.domain.extents.max())
+    step = _step(chart, FLUX_STEP_REL)
 
     def conductivity(pts):
         """sqrt(det g) and K at pts."""
-        g = metric(chart, pts, check_domain=False)
-        ginv = _inv_spd(g)
         if identity_tensor:
-            return np.sqrt(det_small(g)), ginv
-        t = chart.tensor.value(pts, g)
-        return np.sqrt(det_small(g)), np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+            # T is never evaluated here, not even at the shifted points
+            g = metric(chart, pts, check_domain=False)
+            return np.sqrt(det_small(g)), _inv_spd(g)
+        g, _, _, k = chart_fields(chart, pts)
+        return np.sqrt(det_small(g)), k
 
     def flux(pts):
         sqrt_g, k = conductivity(pts)
@@ -726,14 +735,18 @@ class GeometricConstants:
         return asdict(self)
 
 
-def trace_grad_tensor(chart, points, step):
+def trace_grad_tensor(chart, points):
     """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm.
 
-    The derivatives of g (for the Christoffel symbols) and of T are central
-    differences with the given step.
+    Both are zero for the metric tensor (metric compatibility).  Otherwise
+    the derivatives of g (for the Christoffel symbols) and of T are central
+    differences with step ``CHRISTOFFEL_STEP_REL * max(domain extent)``.
     """
     points = np.atleast_2d(points)
+    if getattr(chart.tensor, "is_metric", False):
+        return np.zeros_like(points), np.zeros(points.shape[0])
     n = chart.dim_n
+    step = _step(chart, CHRISTOFFEL_STEP_REL)
     dg = np.empty((points.shape[0], n, n, n))  # dg[:, i, j, k] = d_i g_jk
     dt = np.empty_like(dg)                     # dt[:, i, j, k] = d_i T_jk
     for axis in range(n):
@@ -744,12 +757,10 @@ def trace_grad_tensor(chart, points, step):
         dg[:, axis] = (gp - gm) / (2.0 * step)
         dt[:, axis] = (chart.tensor.value(points + shift, gp)
                        - chart.tensor.value(points - shift, gm)) / (2.0 * step)
-    g = metric(chart, points, check_domain=False)
-    ginv = _inv_spd(g)
+    g, ginv, t, _ = chart_fields(chart, points)
     gamma = 0.5 * (np.einsum("pkl,pijl->pkij", ginv, dg)
                    + np.einsum("pkl,pjil->pkij", ginv, dg)
                    - np.einsum("pkl,plij->pkij", ginv, dg))
-    t = chart.tensor.value(points, g)
     # nabla_t[:, i, j, k] = (nabla_i T)_{jk}
     nabla_t = (dt
                - np.einsum("plij,plk->pijk", gamma, t)
@@ -779,15 +790,10 @@ def compute_constants(chart, resolution):
     if resolution < 8:
         raise ParameterError("constants resolution must be at least 8 points per axis")
     pts = chart.domain.sample_grid(resolution)
-    extent = float(chart.domain.extents.max())
-    christoffel_step = CHRISTOFFEL_STEP_REL * extent
-
-    g = metric(chart, pts, check_domain=False)
-    ginv = _inv_spd(g)
-    t = chart.tensor.value(pts, g)
+    g, ginv, t, _ = chart_fields(chart, pts)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(t))):
         raise EvaluationError("non-finite metric or tensor values on the sample grid")
-    check_tensor_spd(chart, pts, t=t, g=g)
+    check_tensor_spd(pts, t, g)
 
     deta = chart.eta.gradient(pts)
     eta0 = float(np.sqrt(np.maximum(
@@ -809,12 +815,7 @@ def compute_constants(chart, resolution):
         np.einsum("pij,pji->p", np.einsum("pia,pab->pib", ginv, t),
                   np.einsum("pjb,pba->pja", ginv, t)), 0.0)).max())
     tr_t = np.einsum("pij,pji->p", ginv, t)
-    if getattr(chart.tensor, "is_metric", False):
-        # metric compatibility: nabla g = 0 identically
-        t0 = 0.0
-    else:
-        _, t0_norms = trace_grad_tensor(chart, pts, christoffel_step)
-        t0 = float(t0_norms.max())
+    t0 = float(trace_grad_tensor(chart, pts)[1].max())
 
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)
@@ -835,8 +836,8 @@ def compute_constants(chart, resolution):
         dim_m=chart.dim_m,
         sample_resolution=resolution,
         metadata={
-            "christoffel_step": christoffel_step,
-            "flux_step": FLUX_STEP_REL * extent,
+            "christoffel_step": _step(chart, CHRISTOFFEL_STEP_REL),
+            "flux_step": _step(chart, FLUX_STEP_REL),
             "quadrature_nodes": qnodes,
         },
     )
@@ -846,66 +847,99 @@ def compute_constants(chart, resolution):
 # catalogs
 # ---------------------------------------------------------------------------
 
-def _default_domain(chart_id, params):
-    if chart_id == "flat_interval":
-        return Rectangle(((0.0, 1.0),))
-    if chart_id == "flat_rectangle":
-        return Rectangle(((0.0, 1.0), (0.0, 1.0)))
-    if chart_id == "stereographic_sphere":
-        return Disk((0.0, 0.0), 1.0)
-    if chart_id == "cylinder":
-        r = params[0] if params else 1.0
-        return Rectangle(((0.0, math.pi * r), (0.0, 1.0)))
-    if chart_id == "associate_family":
-        return Rectangle(((0.0, math.pi), (-0.8, 0.8)))
-    raise ParameterError(f"unknown chart id {chart_id!r}")
+@dataclass(frozen=True)
+class ChartEntry:
+    """Chart-catalog entry of intrinsic dimension ``dim``.
+
+    ``immersion(*params)`` and ``domain(*params)`` build the immersion and
+    its default parameter domain; a chart given no parameters gets
+    ``defaults``, so it takes either none or ``len(defaults)``.
+    """
+
+    dim: int
+    immersion: Callable
+    domain: Callable
+    defaults: tuple = ()
+
+    @property
+    def counts(self):
+        return (0, len(self.defaults)) if self.defaults else (0,)
 
 
-def chart_ids():
-    return sorted(["flat_interval", "flat_rectangle", "stereographic_sphere",
-                   "cylinder", "associate_family"])
+@dataclass(frozen=True)
+class FieldEntry:
+    """Weight- or tensor-catalog entry: ``make(params, expr, dim)`` builds the
+    field; ``counts(dim)`` are the numbers of parameters it takes."""
+
+    make: Callable
+    counts: Callable
 
 
-def eta_ids():
-    return sorted(["zero", "linear", "radial_quadratic", "expr"])
+def _expression_weight(params, expr, dim):
+    if not expr:
+        raise ParameterError("expression weight needs an expression string")
+    return ExpressionWeight(expr, dim)
 
 
-def tensor_ids():
-    return sorted(["metric", "diag", "expr"])
+def _expression_tensor(params, expr, dim):
+    if not expr:
+        raise ParameterError("expression tensor needs entry strings")
+    return ExpressionTensor([part.strip() for part in expr.split(";")], dim)
+
+
+CHARTS = {
+    "flat_interval": ChartEntry(
+        1, lambda: FlatImmersion(1), lambda: Rectangle(((0.0, 1.0),))),
+    "flat_rectangle": ChartEntry(
+        2, lambda: FlatImmersion(2), lambda: Rectangle(((0.0, 1.0), (0.0, 1.0)))),
+    "stereographic_sphere": ChartEntry(
+        2, StereographicSphere, lambda r: Disk((0.0, 0.0), 1.0), (1.0,)),
+    "cylinder": ChartEntry(
+        2, Cylinder, lambda r: Rectangle(((0.0, math.pi * r), (0.0, 1.0))), (1.0,)),
+    "associate_family": ChartEntry(
+        2, AssociateFamily, lambda theta: Rectangle(((0.0, math.pi), (-0.8, 0.8))), (0.0,)),
+}
+
+ETAS = {
+    "zero": FieldEntry(lambda params, expr, dim: ZeroWeight(), lambda dim: (0,)),
+    "linear": FieldEntry(lambda params, expr, dim: LinearWeight(params), lambda dim: (dim,)),
+    # coefficient, then optionally the center
+    "radial_quadratic": FieldEntry(
+        lambda params, expr, dim: RadialQuadraticWeight(
+            params[0], params[1:] if len(params) > 1 else None),
+        lambda dim: (1, 1 + dim)),
+    "expr": FieldEntry(_expression_weight, lambda dim: (0,)),
+}
+
+TENSORS = {
+    "metric": FieldEntry(lambda params, expr, dim: MetricTensor(), lambda dim: (0,)),
+    "diag": FieldEntry(lambda params, expr, dim: DiagonalTensor(params), lambda dim: (dim,)),
+    "expr": FieldEntry(_expression_tensor, lambda dim: (0,)),
+}
+
+
+def _lookup(catalog, what, name):
+    if name not in catalog:
+        raise ParameterError(f"unknown {what} {name!r}")
+    return catalog[name]
+
+
+def _check_count(name, params, allowed):
+    if len(params) not in allowed:
+        raise ParameterError(f"{name} takes {' or '.join(map(str, allowed))} "
+                             f"parameters, got {len(params)}")
 
 
 def make_eta(kind, params=(), expr=None, dim=2):
-    if kind == "zero":
-        return ZeroWeight()
-    if kind == "linear":
-        if len(params) != dim:
-            raise ParameterError(f"linear weight needs {dim} coefficients")
-        return LinearWeight(params)
-    if kind == "radial_quadratic":
-        if len(params) < 1:
-            raise ParameterError("radial_quadratic weight needs a coefficient")
-        center = params[1:] if len(params) > 1 else None
-        return RadialQuadraticWeight(params[0], center)
-    if kind == "expr":
-        if not expr:
-            raise ParameterError("expression weight needs an expression string")
-        return ExpressionWeight(expr, dim)
-    raise ParameterError(f"unknown weight kind {kind!r}")
+    entry = _lookup(ETAS, "weight kind", kind)
+    _check_count(kind, params, entry.counts(dim))
+    return entry.make(params, expr, dim)
 
 
 def make_tensor(kind, params=(), expr=None, dim=2):
-    if kind == "metric":
-        return MetricTensor()
-    if kind == "diag":
-        if len(params) != dim:
-            raise ParameterError(f"diagonal tensor needs {dim} entries")
-        return DiagonalTensor(params)
-    if kind == "expr":
-        if not expr:
-            raise ParameterError("expression tensor needs entry strings")
-        entries = [part.strip() for part in expr.split(";")]
-        return ExpressionTensor(entries, dim)
-    raise ParameterError(f"unknown tensor kind {kind!r}")
+    entry = _lookup(TENSORS, "tensor kind", kind)
+    _check_count(kind, params, entry.counts(dim))
+    return entry.make(params, expr, dim)
 
 
 def make_chart(chart_id, params=(), domain=None, eta=None, tensor=None):
@@ -914,7 +948,7 @@ def make_chart(chart_id, params=(), domain=None, eta=None, tensor=None):
     Parameters
     ----------
     chart_id : str
-        One of :func:`chart_ids`.
+        A key of :data:`CHARTS`.
     params : sequence of float
         Chart parameters (sphere/cylinder radius, family angle).
     domain : Rectangle or Disk, optional
@@ -923,19 +957,11 @@ def make_chart(chart_id, params=(), domain=None, eta=None, tensor=None):
         Default to the zero weight and the metric tensor.
     """
     params = tuple(float(p) for p in params)
-    if chart_id == "flat_interval":
-        immersion = FlatImmersion(1)
-    elif chart_id == "flat_rectangle":
-        immersion = FlatImmersion(2)
-    elif chart_id == "stereographic_sphere":
-        immersion = StereographicSphere(params[0] if params else 1.0)
-    elif chart_id == "cylinder":
-        immersion = Cylinder(params[0] if params else 1.0)
-    elif chart_id == "associate_family":
-        immersion = AssociateFamily(params[0] if params else 0.0)
-    else:
-        raise ParameterError(f"unknown chart id {chart_id!r}")
-    domain = domain if domain is not None else _default_domain(chart_id, params)
+    entry = _lookup(CHARTS, "chart id", chart_id)
+    _check_count(chart_id, params, entry.counts)
+    args = params or entry.defaults
+    immersion = entry.immersion(*args)
+    domain = domain if domain is not None else entry.domain(*args)
     eta = eta if eta is not None else ZeroWeight()
     tensor = tensor if tensor is not None else MetricTensor()
     label = chart_id if not params else f"{chart_id}({', '.join(map(str, params))})"

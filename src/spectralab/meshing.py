@@ -71,7 +71,7 @@ class Mesh:
 
 def _interval_mesh(domain, resolution):
     (a, b), = domain.bounds
-    verts = np.linspace(a, b, resolution + 1)[:, None]
+    verts = domain.sample_grid(resolution)
     cells = np.stack([np.arange(resolution), np.arange(1, resolution + 1)], axis=-1)
     boundary = np.zeros(resolution + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
@@ -81,24 +81,14 @@ def _interval_mesh(domain, resolution):
 def _rectangle_mesh(domain, resolution):
     (ax, bx), (ay, by) = domain.bounds
     nx = ny = resolution
-    xs = np.linspace(ax, bx, nx + 1)
-    ys = np.linspace(ay, by, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-
-    def vid(ix, iy):
-        return ix * (ny + 1) + iy
-
-    cells = []
-    for ix in range(nx):
-        for iy in range(ny):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.array(cells, dtype=int)
+    # the sample grid puts vertex (ix, iy) at index ix * (ny + 1) + iy; two
+    # triangles per quad, quads in (ix, iy) row-major order
+    verts = domain.sample_grid(resolution)
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    v00 = (ix * (ny + 1) + iy).ravel()
+    v10, v01 = v00 + ny + 1, v00 + 1
+    v11 = v10 + 1
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
     ix_all, iy_all = np.divmod(np.arange(verts.shape[0]), ny + 1)
     boundary = (ix_all == 0) | (ix_all == nx) | (iy_all == 0) | (iy_all == ny)
@@ -110,29 +100,17 @@ def _disk_mesh(domain, resolution):
     # rings at radius j*R/resolution, each carrying 6*resolution vertices on
     # common angles; central vertex index 0
     n_theta = 6 * resolution
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    cx, cy = domain.center
-    verts = [np.array([[cx, cy]])]
-    for ring in range(1, resolution + 1):
-        r = domain.radius * ring / resolution
-        verts.append(np.stack([cx + r * np.cos(theta), cy + r * np.sin(theta)], axis=-1))
-    verts = np.vstack(verts)
-
-    def vid(ring, i):
-        return 1 + (ring - 1) * n_theta + (i % n_theta)
-
-    cells = []
-    for i in range(n_theta):
-        cells.append((0, vid(1, i), vid(1, i + 1)))
-    for ring in range(1, resolution):
-        for i in range(n_theta):
-            a = vid(ring, i)
-            b = vid(ring + 1, i)
-            c = vid(ring + 1, i + 1)
-            d = vid(ring, i + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    cells = np.array(cells, dtype=int)
+    # the sample grid puts vertex i of ring j at index 1 + (j - 1) * n_theta + i;
+    # a fan around the center, then two triangles per quad in (ring, i) order
+    verts = domain.sample_grid(resolution)
+    i = np.arange(n_theta)
+    nxt = (i + 1) % n_theta
+    fan = np.stack([np.zeros_like(i), 1 + i, 1 + nxt], axis=-1)
+    ring = 1 + n_theta * np.arange(resolution - 1)[:, None]
+    a, d = ring + i, ring + nxt
+    b, c = a + n_theta, d + n_theta
+    quads = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    cells = np.vstack([fan, quads])
 
     boundary = np.zeros(verts.shape[0], dtype=bool)
     boundary[1 + (resolution - 1) * n_theta:] = True

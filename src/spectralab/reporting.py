@@ -30,16 +30,16 @@ from .assembly import EigenfunctionQuadrature, assemble
 from .eigensolve import solve_sparse, vertex_fields
 from .errors import ConfigError, SpectralabError
 from .geometry import (
+    CHARTS,
+    ETAS,
+    TENSORS,
     AmbientCoordinate,
     Disk,
     Rectangle,
-    chart_ids,
     compute_constants,
-    eta_ids,
     make_chart,
     make_eta,
     make_tensor,
-    tensor_ids,
 )
 from .meshing import build_structured
 
@@ -122,7 +122,7 @@ class Scenario:
     output_dir: str = ""
 
     def __post_init__(self):
-        if self.chart_id not in chart_ids():
+        if self.chart_id not in CHARTS:
             raise ConfigError(f"unknown chart id {self.chart_id!r}")
         if list(self.resolutions) != sorted(self.resolutions) or not self.resolutions:
             raise ConfigError("mesh.resolutions must be a nonempty ascending list")
@@ -222,7 +222,7 @@ def load_scenario(path):
 
 
 def build_chart(scenario):
-    dim = 1 if scenario.chart_id == "flat_interval" else 2
+    dim = CHARTS[scenario.chart_id].dim
     eta = make_eta(scenario.eta_kind, scenario.eta_params,
                    scenario.eta_expr or None, dim=dim)
     tensor = make_tensor(scenario.tensor_kind, scenario.tensor_params,
@@ -393,11 +393,11 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
 def catalog_text():
     """Stable, alphabetized listing of charts, builtins and check names."""
     lines = ["charts:"]
-    lines += [f"  {name}" for name in chart_ids()]
+    lines += [f"  {name}" for name in sorted(CHARTS)]
     lines.append("eta builtins:")
-    lines += [f"  {name}" for name in eta_ids()]
+    lines += [f"  {name}" for name in sorted(ETAS)]
     lines.append("tensor builtins:")
-    lines += [f"  {name}" for name in tensor_ids()]
+    lines += [f"  {name}" for name in sorted(TENSORS)]
     lines.append("checks:")
     lines += [f"  {name}" for name in sorted(CHECKS)]
     return "\n".join(lines) + "\n"

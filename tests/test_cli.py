@@ -194,6 +194,36 @@ def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
     assert result.stderr.startswith(f"error: line {lineno}: {key} ")
 
 
+@pytest.mark.parametrize("lines,error,manifest", [
+    # an IndexError and a ValueError deep in the sampling before the check
+    ("domain.kind = disk\ndomain.center = 0.5", "error: disk center needs 2 coordinates", False),
+    ("domain.kind = disk\ndomain.center = 0 0 0", "error: disk center needs 2 coordinates",
+     False),
+    # a broadcast ValueError on a 2d chart before the check
+    ("eta.kind = radial_quadratic\neta.params = 1 0 0 0",
+     "ParameterError: radial_quadratic takes 1 or 3 parameters, got 4", True),
+    # silently ignored before the check
+    ("chart.params = 1 2", "ParameterError: flat_rectangle takes 0 parameters, got 2", True),
+], ids=["disk_center_1", "disk_center_3", "radial_quadratic_4", "flat_rectangle_2"])
+def test_wrong_parameter_count_exits_two_without_traceback(tmp_path, lines, error, manifest):
+    text = SMALL_CONFIG.replace("eta.kind = zero\n", "") + lines + "\n"
+    cfg = _write(tmp_path, "bad.cfg", text)
+    result = subprocess.run(
+        [sys.executable, "-m", "spectralab", "run", cfg],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src", "SPECTRA_OUT": str(tmp_path / "out")},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(error)
+    # a count checked when the chart is built leaves an incomplete MANIFEST;
+    # a disk is checked when the scenario is read, before there is a run
+    path = tmp_path / "out" / "smoke" / "MANIFEST"
+    assert path.exists() == manifest
+    if manifest:
+        assert "status incomplete" in path.read_text()
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "spectralab", "list"],

@@ -6,6 +6,7 @@ import pytest
 from spectralab.errors import DegeneracyError, DomainError, ParameterError, TensorError
 from spectralab.expressions import compile_expression
 from spectralab.geometry import (
+    CHARTS,
     AmbientCoordinate,
     CallableImmersion,
     Chart,
@@ -254,6 +255,27 @@ def test_expression_weight_gradient_matches_compiled_value():
     assert np.allclose(grad[:, 0], expected_x, atol=1e-7)
     assert np.allclose(grad[:, 1], expected_y, atol=1e-7)
     assert np.allclose(field.value(pts), fn(pts))
+
+
+def test_chart_table_dimension_matches_immersion():
+    for chart_id, entry in CHARTS.items():
+        chart = make_chart(chart_id)
+        assert chart.dim_n == entry.dim == chart.domain.dim
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_chart("cylinder", (1.0, 2.0)),
+    lambda: make_eta("zero", (1.0,)),
+    lambda: make_eta("linear", (1.0,), dim=2),
+    lambda: make_eta("radial_quadratic", (), dim=2),
+    lambda: make_eta("radial_quadratic", (1.0, 0.0), dim=2),
+    lambda: make_tensor("metric", (1.0,)),
+    lambda: make_tensor("diag", (1.0, 1.0, 1.0), dim=2),
+    lambda: Disk((0.0, 0.0, 0.0)),
+])
+def test_wrong_parameter_count_rejected(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_disk_domain_membership():
