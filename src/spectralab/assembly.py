@@ -192,14 +192,22 @@ def apply_Lh(chart, mesh, h):
     return apply_operator_pointwise(chart, h, mesh.vertices)
 
 
+# bytes of per-point values held at once when operators act on a block of
+# eigenfunctions; it bounds the block's share of the peak memory
+BLOCK_BYTES = 1 << 24
+
+
 class EigenfunctionQuadrature:
     """Element-quadrature context for integrals of discrete eigenfunctions.
 
-    Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays,
-    exposing P1-interpolated values, per-cell gradients and dm-weighted
-    integration.  Shared by the test-function and tensor-theorem checks; the
-    fields and per-eigenfunction integrals of the integrated tensor bound
-    are computed on first use and kept.
+    Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays.
+    Pointwise quantities at the quadrature points are sparse per-point
+    operators (one row per point, one entry per node of its cell) applied
+    to blocks of eigenfunctions: the P1 value, and a direction dotted with
+    the P1 gradient.  Every integral stays a dm-weighted sum of per-point
+    values.  Shared by the test-function and tensor-theorem checks; the
+    fields and the integrals of the integrated tensor bound are computed on
+    first use and kept.
     """
 
     def __init__(self, chart, mesh, vertex_values):
@@ -213,32 +221,52 @@ class EigenfunctionQuadrature:
         w = _dm_weight(chart, self.g, self.qpts_flat)
         self.dm_weights = (w.reshape(self.ncells, self.nq) * qw).ravel()
         self.grads = grads
-        self.phi = phi
-        self._tensor_integrals = []
+        self.phi = phi.reshape(-1, phi.shape[-1])  # P1 values per point, (P, nodes)
 
     def integrate(self, values_flat):
         """Integral of a quadrature-point sampled function against dm."""
         return float((self.dm_weights * values_flat).sum())
 
+    def point_operator(self, coeffs):
+        """CSR operator (points x vertices) from per-point local coefficients
+        of shape ``(P, nodes)``, placed at the vertices of the point's cell."""
+        points, nodes = coeffs.shape
+        cols = np.repeat(self.mesh.cells, self.nq, axis=0).ravel()
+        return sp.csr_matrix((coeffs.ravel(), cols, np.arange(0, points * nodes + 1, nodes)),
+                             shape=(points, self.mesh.num_vertices))
+
+    def directional(self, vectors):
+        """Local coefficients of ``vec_p . grad`` for chart vectors ``(P, n)``."""
+        vectors = vectors.reshape(self.ncells, self.nq, -1)
+        return np.einsum("cqi,cai->cqa", vectors, self.grads).reshape(-1, self.grads.shape[1])
+
+    @cached_property
+    def value_operator(self):
+        """The P1 interpolation operator Phi."""
+        return self.point_operator(self.phi)
+
     def interpolate(self, vertex_field):
         """P1 interpolation of a vertex field to quadrature points, flat."""
-        nodal = np.asarray(vertex_field)[self.mesh.cells]
-        return np.einsum("cqa,ca->cq", self.phi, nodal).ravel()
+        return self.value_operator @ np.asarray(vertex_field, dtype=float)
 
     def u_at_quadrature(self, i):
         return self.interpolate(self.vertex_values[i])
 
-    def grad_u(self, i):
-        """Piecewise-constant chart gradient of eigenfunction i, (C, n)."""
-        nodal = self.vertex_values[i][self.mesh.cells]
-        return np.einsum("cai,ca->ci", self.grads, nodal)
-
-    def grad_u_flat(self, i):
-        return np.repeat(self.grad_u(i), self.nq, axis=0)
-
-    def tensor_bilinear(self, grad1_flat, grad2_flat):
-        """T(X, Y) = K^ij X_i Y_j for chart-coordinate covector fields."""
-        return np.einsum("pij,pi,pj->p", self.k, grad1_flat, grad2_flat)
+    def column_integrals(self, operators, terms, k):
+        """Integrals ``sum_p w_p (A_a u_i)_p (A_b u_i)_p`` for ``i < k``, one row
+        per term ``(w, a, b)`` with ``w`` the per-point weights and ``a, b``
+        indices into ``operators``.  Eigenfunctions go through the operators
+        in contiguous blocks sized by :data:`BLOCK_BYTES`."""
+        points = self.qpts_flat.shape[0]
+        per_block = max(1, BLOCK_BYTES // (8 * points * (len(operators) + 1)))
+        out = np.empty((len(terms), k))
+        for lo in range(0, k, per_block):
+            hi = min(lo + per_block, k)
+            block = np.ascontiguousarray(self.vertex_values[lo:hi].T)
+            values = [op @ block for op in operators]
+            for row, (weights, a, b) in enumerate(terms):
+                out[row, lo:hi] = weights @ (values[a] * values[b])
+        return out
 
     @cached_property
     def tensor_fields(self):
@@ -255,22 +283,23 @@ class EigenfunctionQuadrature:
             normal_sq = (tr_alpha_t ** 2).sum(axis=1)
         else:
             normal_sq = np.zeros(pts.shape[0])
-        trace_grad, _ = trace_grad_tensor(chart, pts)
+        trace_grad, _ = trace_grad_tensor(chart, pts, self.g, self.ginv, self.tensor)
         tangential = trace_grad - np.einsum("pij,pj->pi", self.k, chart.eta.gradient(pts))
         tangential_sq = np.einsum("pab,pa,pb->p", self.g, tangential, tangential)
         return tr_t, normal_sq + tangential_sq, tangential
 
+    @cached_property
+    def _tensor_integrals(self):
+        tr_t, square_field, tangential = self.tensor_fields
+        # g(V, K grad u) = w . grad u with w = V g K
+        w = np.einsum("pa,pab,pbj->pj", tangential, self.g, self.k)
+        dm = self.dm_weights
+        operators = [self.value_operator, self.point_operator(self.directional(w))]
+        terms = [(dm * tr_t, 0, 0), (dm * square_field, 0, 0), (dm, 0, 1)]
+        return self.column_integrals(operators, terms, self.vertex_values.shape[0]).T
+
     def tensor_integrals(self, k):
         """Integrals ``(u_i^2 tr T, u_i^2 square field, u_i g(V, T grad u_i))``
-        against dm for the first ``k`` eigenfunctions; each is computed once."""
-        tr_t, square_field, tangential = self.tensor_fields
-        while len(self._tensor_integrals) < k:
-            i = len(self._tensor_integrals)
-            u_q = self.u_at_quadrature(i)
-            t_grad_u = np.einsum("pij,pj->pi", self.k, self.grad_u_flat(i))
-            self._tensor_integrals.append((
-                self.integrate(u_q ** 2 * tr_t),
-                self.integrate(u_q ** 2 * square_field),
-                self.integrate(u_q * np.einsum("pab,pa,pb->p", self.g, tangential, t_grad_u)),
-            ))
+        against dm for the first ``k`` eigenfunctions, as rows of a ``(k, 3)``
+        array; all rows are computed on first use."""
         return self._tensor_integrals[:k]

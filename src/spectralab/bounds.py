@@ -217,10 +217,9 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
         raise ParameterError(f"unknown thm_tensor mode {mode!r}")
     if quad is None:
         raise ParameterError("integrated mode requires an EigenfunctionQuadrature")
-    per_i = quad.tensor_integrals(k)
-    lhs = float(sum(gaps[i] ** 2 * per_i[i][0] for i in range(k)))
-    rhs = float(sum(gaps[i] * (per_i[i][1] + 4.0 * per_i[i][2] + 4.0 * lam[i])
-                    for i in range(k)))
+    tr_t, square, cross = quad.tensor_integrals(k).T
+    lhs = float((gaps ** 2 * tr_t).sum())
+    rhs = float((gaps * (square + 4.0 * cross + 4.0 * lam[:k])).sum())
     return _report("thm_tensor_integrated", k, lhs, rhs, slack,
                    inputs={"mode": "integrated"})
 
@@ -363,18 +362,18 @@ def _proposition_integrals(quad, h_field, k_top):
 
     Returns (weights, rayleigh, degenerate) with
     ``weights[i] = int u_i^2 T(grad h, grad h) dm`` and
-    ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``.
+    ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``, from the
+    per-point operators ``Phi`` and ``R = Lh Phi + 2 (K grad h) . grad``.
     """
     grad_h = h_field.gradient(quad.qpts_flat)
-    t_hh = quad.tensor_bilinear(grad_h, grad_h)
+    k_grad_h = np.einsum("pij,pj->pi", quad.k, grad_h)
+    t_hh = np.einsum("pi,pi->p", grad_h, k_grad_h)
     lh_q = quad.interpolate(apply_Lh(quad.chart, quad.mesh, h_field))
-    weights = np.empty(k_top)
-    rayleigh = np.empty(k_top)
-    for i in range(k_top):
-        u_q = quad.u_at_quadrature(i)
-        t_h_u = quad.tensor_bilinear(grad_h, quad.grad_u_flat(i))
-        weights[i] = quad.integrate(u_q ** 2 * t_hh)
-        rayleigh[i] = quad.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
+    rayleigh_op = quad.point_operator(lh_q[:, None] * quad.phi
+                                      + 2.0 * quad.directional(k_grad_h))
+    dm = quad.dm_weights
+    weights, rayleigh = quad.column_integrals([quad.value_operator, rayleigh_op],
+                                              [(dm * t_hh, 0, 0), (dm, 1, 1)], k_top)
     degenerate = float(np.abs(t_hh).max()) <= 1e-14
     return weights, rayleigh, degenerate
 

@@ -735,12 +735,14 @@ class GeometricConstants:
         return asdict(self)
 
 
-def trace_grad_tensor(chart, points):
+def trace_grad_tensor(chart, points, g, ginv, t):
     """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm.
 
-    Both are zero for the metric tensor (metric compatibility).  Otherwise
-    the derivatives of g (for the Christoffel symbols) and of T are central
-    differences with step ``CHRISTOFFEL_STEP_REL * max(domain extent)``.
+    ``g``, ``ginv`` and ``t`` are the :func:`chart_fields` at ``points``,
+    which every caller already holds.  Both results are zero for the metric
+    tensor (metric compatibility).  Otherwise the derivatives of g (for the
+    Christoffel symbols) and of T are central differences with step
+    ``CHRISTOFFEL_STEP_REL * max(domain extent)``.
     """
     points = np.atleast_2d(points)
     if getattr(chart.tensor, "is_metric", False):
@@ -757,7 +759,6 @@ def trace_grad_tensor(chart, points):
         dg[:, axis] = (gp - gm) / (2.0 * step)
         dt[:, axis] = (chart.tensor.value(points + shift, gp)
                        - chart.tensor.value(points - shift, gm)) / (2.0 * step)
-    g, ginv, t, _ = chart_fields(chart, points)
     gamma = 0.5 * (np.einsum("pkl,pijl->pkij", ginv, dg)
                    + np.einsum("pkl,pjil->pkij", ginv, dg)
                    - np.einsum("pkl,plij->pkij", ginv, dg))
@@ -815,7 +816,7 @@ def compute_constants(chart, resolution):
         np.einsum("pij,pji->p", np.einsum("pia,pab->pib", ginv, t),
                   np.einsum("pjb,pba->pja", ginv, t)), 0.0)).max())
     tr_t = np.einsum("pij,pji->p", ginv, t)
-    t0 = float(trace_grad_tensor(chart, pts)[1].max())
+    t0 = float(trace_grad_tensor(chart, pts, g, ginv, t)[1].max())
 
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)

@@ -1,0 +1,95 @@
+"""Compare two outputs of ``tests/snapshot_artifacts.py``.
+
+Run from the repository root with ``python tests/compare_snapshots.py A B
+[--rtol 1e-12]``.  Every file must be byte-identical except ``bounds.csv``,
+whose rows must have the same ``name``, ``k`` and ``holds`` and whose
+numbers must agree within ``--rtol`` relative.  It prints the worst relative
+difference of each ``bounds.csv`` and every file that differs or exists on
+one side only, and exits 1 on any mismatch, 0 otherwise.
+"""
+
+import argparse
+import math
+import sys
+from pathlib import Path
+
+EXACT_COLUMNS = ("name", "k", "holds")
+
+
+def _relative(a, b):
+    """Relative difference of two numeric fields; inf when only one is finite
+    or two non-finite fields differ."""
+    x, y = float(a), float(b)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return 0.0 if a == b else math.inf
+    scale = max(abs(x), abs(y))
+    return 0.0 if scale == 0.0 else abs(x - y) / scale
+
+
+def compare_bounds(text_a, text_b):
+    """(worst relative difference, list of mismatch descriptions)."""
+    rows_a, rows_b = text_a.splitlines(), text_b.splitlines()
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return math.inf, ["header differs"]
+    if len(rows_a) != len(rows_b):
+        return math.inf, [f"{len(rows_a) - 1} rows against {len(rows_b) - 1}"]
+    header = rows_a[0].split(",")
+    worst, problems = 0.0, []
+    for line, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        if len(fields_a) != len(header) or len(fields_b) != len(header):
+            problems.append(f"line {line}: wrong field count")
+            continue
+        for column, a, b in zip(header, fields_a, fields_b):
+            if column in EXACT_COLUMNS:
+                if a != b:
+                    problems.append(f"line {line}: {column} {a} != {b}")
+                continue
+            try:
+                diff = _relative(a, b)
+            except ValueError:
+                diff = 0.0 if a == b else math.inf
+            worst = max(worst, diff)
+    return worst, problems
+
+
+def compare(dir_a, dir_b, rtol):
+    """Print the comparison of two snapshot directories; return the exit code."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    mismatches = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
+        mismatches += 1
+    identical = 0
+    for rel in sorted(files_a & files_b):
+        bytes_a, bytes_b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
+        if rel.name == "bounds.csv":
+            worst, problems = compare_bounds(bytes_a.decode(), bytes_b.decode())
+            if worst > rtol:
+                problems.append(f"numbers differ by {worst:.3g} relative > {rtol:g}")
+            print(f"{rel}: worst relative difference {worst:.3g}"
+                  + "".join(f"\n  {p}" for p in problems))
+            mismatches += bool(problems)
+        elif bytes_a == bytes_b:
+            identical += 1
+        else:
+            print(f"{rel}: bytes differ")
+            mismatches += 1
+    print(f"{len(files_a | files_b)} files: {identical} other files byte-identical, "
+          f"{mismatches} mismatched")
+    return 1 if mismatches else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("a")
+    parser.add_argument("b")
+    parser.add_argument("--rtol", type=float, default=1e-12)
+    args = parser.parse_args(argv)
+    return compare(args.a, args.b, args.rtol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

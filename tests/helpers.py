@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from spectralab.assembly import EigenfunctionQuadrature, assemble
+from spectralab.assembly import EigenfunctionQuadrature, apply_Lh, assemble
 from spectralab.eigensolve import solve_sparse, vertex_fields
 from spectralab.geometry import make_chart, make_eta, make_tensor
 from spectralab.meshing import build_structured
@@ -24,6 +24,49 @@ def pipeline(chart_id, params=(), resolution=16, k=13, eta=None, tensor=None,
 
 def quadrature_context(chart, mesh, result):
     return EigenfunctionQuadrature(chart, mesh, result.vertex_values)
+
+
+def _reference_values(quad, vertex_field):
+    """P1 values of a vertex field at the quadrature points, cell by cell."""
+    phi = quad.phi.reshape(quad.ncells, quad.nq, -1)
+    return np.einsum("cqa,ca->cq", phi, np.asarray(vertex_field)[quad.mesh.cells]).ravel()
+
+
+def _reference_gradient(quad, i):
+    """Chart gradient of eigenfunction i, repeated at each quadrature point."""
+    nodal = quad.vertex_values[i][quad.mesh.cells]
+    return np.repeat(np.einsum("cai,ca->ci", quad.grads, nodal), quad.nq, axis=0)
+
+
+def reference_proposition_integrals(quad, h_field, k_top):
+    """Test-function integrals one eigenfunction at a time: the oracle for
+    ``bounds._proposition_integrals``."""
+    grad_h = h_field.gradient(quad.qpts_flat)
+    t_hh = np.einsum("pij,pi,pj->p", quad.k, grad_h, grad_h)
+    lh_q = _reference_values(quad, apply_Lh(quad.chart, quad.mesh, h_field))
+    weights = np.empty(k_top)
+    rayleigh = np.empty(k_top)
+    for i in range(k_top):
+        u_q = _reference_values(quad, quad.vertex_values[i])
+        t_h_u = np.einsum("pij,pi,pj->p", quad.k, grad_h, _reference_gradient(quad, i))
+        weights[i] = quad.integrate(u_q ** 2 * t_hh)
+        rayleigh[i] = quad.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
+    return weights, rayleigh
+
+
+def reference_tensor_integrals(quad, k):
+    """Integrated tensor-bound integrals one eigenfunction at a time, as a
+    ``(k, 3)`` array: the oracle for ``EigenfunctionQuadrature.tensor_integrals``."""
+    tr_t, square_field, tangential = quad.tensor_fields
+    rows = []
+    for i in range(k):
+        u_q = _reference_values(quad, quad.vertex_values[i])
+        t_grad_u = np.einsum("pij,pj->pi", quad.k, _reference_gradient(quad, i))
+        rows.append((quad.integrate(u_q ** 2 * tr_t),
+                     quad.integrate(u_q ** 2 * square_field),
+                     quad.integrate(u_q * np.einsum("pab,pa,pb->p", quad.g, tangential,
+                                                    t_grad_u))))
+    return np.array(rows)
 
 
 def linear_eta(*coeffs):

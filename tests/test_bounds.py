@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pipeline, quadrature_context, radial_eta
+from helpers import (
+    diag_tensor,
+    pipeline,
+    quadrature_context,
+    radial_eta,
+    reference_proposition_integrals,
+    reference_tensor_integrals,
+)
+from spectralab import assembly
 from spectralab.bounds import (
     Spectrum,
+    _proposition_integrals,
     check_cheng_yang_type,
     check_corollary_trio,
     check_polya_type,
@@ -25,7 +34,14 @@ from spectralab.bounds import (
     weyl_fit,
 )
 from spectralab.errors import ParameterError, ShiftPositivityError
-from spectralab.geometry import AmbientCoordinate, GeometricConstants, compute_constants, make_chart
+from spectralab.geometry import (
+    AmbientCoordinate,
+    Disk,
+    GeometricConstants,
+    compute_constants,
+    make_chart,
+    make_tensor,
+)
 from spectralab.reference import (
     hemisphere_spectrum,
     interval_spectrum,
@@ -392,6 +408,77 @@ def test_proposition_reports_match_single_calls():
     multi = proposition_reports(quad, result.eigenvalues, h_field, [1, 3])
     single = check_proposition_testfunction(quad, result.eigenvalues, h_field, 3)
     assert multi[1].lhs == single.lhs and multi[1].rhs == single.rhs
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction integrals: per-point operators against the per-eigenfunction
+# formulas in helpers
+# ---------------------------------------------------------------------------
+
+INTEGRAL_CASES = {
+    # 2-node cells, 2-point Gauss
+    "flat_interval": dict(chart_id="flat_interval", resolution=24, k=6),
+    "diag_tensor_square": dict(chart_id="flat_rectangle", resolution=12, k=6,
+                               tensor=diag_tensor(1.0, 2.5)),
+    # codimension 1: three ambient axes, normal and tangential fields
+    "weighted_sphere": dict(chart_id="stereographic_sphere", params=(1.0,), resolution=10,
+                            k=6, eta=radial_eta(0.2)),
+    "disk_expr_tensor": dict(chart_id="flat_rectangle", resolution=8, k=6,
+                             domain=Disk((0.5, 0.5), 0.4),
+                             tensor=make_tensor("expr", expr="1 + 0.2*y; 0.1*x; 1.5", dim=2)),
+}
+
+
+def _integral_context(case):
+    chart, mesh, _, result = pipeline(**INTEGRAL_CASES[case])
+    return chart, result, quadrature_context(chart, mesh, result)
+
+
+def _assert_columns_close(actual, expected, rel):
+    """Each column agrees to ``rel`` times its largest reference entry."""
+    actual, expected = np.atleast_2d(actual), np.atleast_2d(expected)
+    scale = np.abs(expected).max(axis=0)
+    assert np.all(np.abs(actual - expected) <= rel * scale)
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRAL_CASES))
+def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
+    chart, _, quad = _integral_context(case)
+    k = quad.vertex_values.shape[0]
+    _assert_columns_close(quad.tensor_integrals(k), reference_tensor_integrals(quad, k), 1e-12)
+    for axis in range(chart.dim_m):
+        h_field = AmbientCoordinate(chart, axis)
+        weights, rayleigh, _ = _proposition_integrals(quad, h_field, k)
+        ref_weights, ref_rayleigh = reference_proposition_integrals(quad, h_field, k)
+        _assert_columns_close(np.stack([weights, rayleigh], axis=1),
+                              np.stack([ref_weights, ref_rayleigh], axis=1), 1e-12)
+
+
+def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
+    chart, result, first = _integral_context("weighted_sphere")
+    k = result.vertex_values.shape[0]
+    results = []
+    for budget in (1, 1 << 40):  # one eigenfunction per block, then one block
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", budget)
+        quad = quadrature_context(chart, first.mesh, result)
+        results.append([quad.tensor_integrals(k)]
+                       + [np.stack(_proposition_integrals(quad, AmbientCoordinate(chart, a),
+                                                          k)[:2], axis=1)
+                          for a in range(chart.dim_m)])
+    for blocked, whole in zip(*results):
+        _assert_columns_close(blocked, whole, 1e-14)
+
+
+def test_integrated_tensor_report_independent_of_call_order():
+    _, result, quad = _integral_context("weighted_sphere")
+    consts = compute_constants(quad.chart, 16)
+    spec = Spectrum(result.eigenvalues, 2, "computed")
+    first = check_thm_tensor(spec, consts, 5, mode="integrated", quad=quad)
+    quad = quadrature_context(quad.chart, quad.mesh, result)
+    for k in range(1, 5):
+        check_thm_tensor(spec, consts, k, mode="integrated", quad=quad)
+    after = check_thm_tensor(spec, consts, 5, mode="integrated", quad=quad)
+    assert (first.lhs, first.rhs, first.holds) == (after.lhs, after.rhs, after.holds)
 
 
 # ---------------------------------------------------------------------------
