@@ -25,7 +25,9 @@ from .errors import MeshTooCoarseError, TensorError
 from .geometry import (
     apply_operator_pointwise,
     chart_fields,
+    contract,
     not_spd,
+    operator_conductivity,
     second_fundamental_form,
     trace_grad_tensor,
 )
@@ -158,9 +160,9 @@ def assemble(chart, mesh, dirichlet=True):
     wq = (w.reshape(ncells, nq)) * qw
 
     # stiffness: grads are constant per cell, so sum the weighted K first
-    k_eff = np.einsum("cq,cqij->cij", wq, kq)
-    a_elem = np.einsum("cai,cij,cbj->cab", grads, k_eff, grads)
-    b_elem = np.einsum("cq,cqa,cqb->cab", wq, phi, phi)
+    k_eff = contract("cq,cqij->cij", wq, kq)
+    a_elem = contract("cai,cij,cbj->cab", grads, k_eff, grads)
+    b_elem = contract("cq,cqa,cqb->cab", wq, phi, phi)
 
     # local upper-triangle pairs, in a fixed order
     nodes = mesh.cells.shape[1]
@@ -238,7 +240,13 @@ class EigenfunctionQuadrature:
     def directional(self, vectors):
         """Local coefficients of ``vec_p . grad`` for chart vectors ``(P, n)``."""
         vectors = vectors.reshape(self.ncells, self.nq, -1)
-        return np.einsum("cqi,cai->cqa", vectors, self.grads).reshape(-1, self.grads.shape[1])
+        return contract("cqi,cai->cqa", vectors, self.grads).reshape(-1, self.grads.shape[1])
+
+    @cached_property
+    def vertex_conductivity(self):
+        """:func:`operator_conductivity` at the vertices, shared by every field
+        the operator is applied to there."""
+        return operator_conductivity(self.chart, self.mesh.vertices)
 
     @cached_property
     def value_operator(self):
@@ -284,15 +292,15 @@ class EigenfunctionQuadrature:
         else:
             normal_sq = np.zeros(pts.shape[0])
         trace_grad, _ = trace_grad_tensor(chart, pts, self.g, self.ginv, self.tensor)
-        tangential = trace_grad - np.einsum("pij,pj->pi", self.k, chart.eta.gradient(pts))
-        tangential_sq = np.einsum("pab,pa,pb->p", self.g, tangential, tangential)
+        tangential = trace_grad - contract("pij,pj->pi", self.k, chart.eta.gradient(pts))
+        tangential_sq = contract("pab,pa,pb->p", self.g, tangential, tangential)
         return tr_t, normal_sq + tangential_sq, tangential
 
     @cached_property
     def _tensor_integrals(self):
         tr_t, square_field, tangential = self.tensor_fields
         # g(V, K grad u) = w . grad u with w = V g K
-        w = np.einsum("pa,pab,pbj->pj", tangential, self.g, self.k)
+        w = contract("pa,pab,pbj->pj", tangential, self.g, self.k)
         dm = self.dm_weights
         operators = [self.value_operator, self.point_operator(self.directional(w))]
         terms = [(dm * tr_t, 0, 0), (dm * square_field, 0, 0), (dm, 0, 1)]

@@ -24,9 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import apply_Lh
 from .errors import ParameterError, ShiftPositivityError
-from .geometry import omega_n
+from .geometry import apply_operator_pointwise, contract, omega_n
 
 CLOSED_FORM_SLACK = 1e-9
 COMPUTED_SLACK = 1e-6
@@ -366,9 +365,10 @@ def _proposition_integrals(quad, h_field, k_top):
     per-point operators ``Phi`` and ``R = Lh Phi + 2 (K grad h) . grad``.
     """
     grad_h = h_field.gradient(quad.qpts_flat)
-    k_grad_h = np.einsum("pij,pj->pi", quad.k, grad_h)
-    t_hh = np.einsum("pi,pi->p", grad_h, k_grad_h)
-    lh_q = quad.interpolate(apply_Lh(quad.chart, quad.mesh, h_field))
+    k_grad_h = contract("pij,pj->pi", quad.k, grad_h)
+    t_hh = contract("pi,pi->p", grad_h, k_grad_h)
+    lh_q = quad.interpolate(apply_operator_pointwise(
+        quad.chart, h_field, quad.mesh.vertices, conductivity=quad.vertex_conductivity))
     rayleigh_op = quad.point_operator(lh_q[:, None] * quad.phi
                                       + 2.0 * quad.directional(k_grad_h))
     dm = quad.dm_weights

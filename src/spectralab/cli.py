@@ -39,7 +39,7 @@ def main(argv=None):
 
     try:
         scenario = load_scenario(args.config)
-    except (OSError, SpectralabError) as exc:
+    except (OSError, UnicodeDecodeError, SpectralabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -509,6 +510,30 @@ class Chart:
             raise ParameterError("domain dimension does not match the chart")
 
 
+def contract(spec, *operands):
+    """``np.einsum(spec, *operands)`` bit for bit, for a leading batch label
+    and small other labels, without einsum's per-element loop overhead.
+
+    Each output entry starts from 0.0 and adds its terms in einsum's order:
+    summed labels by first appearance, the last fastest, each term the
+    operand slices multiplied in operand order.  ``np.einsum`` is kept for
+    diagonals and where it sums otherwise (``pij,pji->p``, ``pij,pkij->pk``,
+    ``pbk,pk->pb``, ``pk,pk->p``): the shipped hemispheres hold roundoff-tied
+    eigenvalues, so a last-digit change can flip which checks are evaluated.
+    """
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    sizes = {c: size for labels, op in zip(inputs, operands) for c, size in zip(labels, op.shape)}
+    order = output[1:] + "".join(c for c in sizes if c not in output)  # free, then summed
+    out = np.zeros([sizes[c] for c in output])
+    for index in np.ndindex(*[sizes[c] for c in order]):
+        at = dict(zip(order, index))
+        out[(slice(None),) + index[:len(output) - 1]] += reduce(np.multiply, [
+            op[(slice(None),) + tuple(at[c] for c in labels[1:])]
+            for labels, op in zip(inputs, operands)])
+    return out
+
+
 def metric(chart, points, check_domain=True):
     """Induced metric g_ij = <d_i x, d_j x> at each point, shape ``(N, n, n)``.
 
@@ -520,7 +545,7 @@ def metric(chart, points, check_domain=True):
         bad = points[~chart.domain.contains(points)][0]
         raise DomainError(f"point {tuple(bad)} outside the parameter domain")
     jac = chart.immersion.jacobian(points)
-    g = np.einsum("pai,paj->pij", jac, jac)
+    g = contract("pai,paj->pij", jac, jac)
     scale = np.einsum("pii->p", g) / chart.dim_n
     if np.any(det_small(g) <= DEGENERACY_TOL * scale ** chart.dim_n):
         raise DegeneracyError("degenerate immersion: det g below tolerance")
@@ -552,7 +577,7 @@ def chart_fields(chart, points):
     g = metric(chart, points, check_domain=False)
     ginv = _inv_spd(g)
     t = chart.tensor.value(points, g)
-    return g, ginv, t, np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+    return g, ginv, t, contract("pia,pab,pbj->pij", ginv, t, ginv)
 
 
 def pair_eigenvalues(t, g):
@@ -630,11 +655,11 @@ def second_fundamental_form(chart, points):
         raise DegeneracyError("could not complete an orthonormal normal frame")
 
     hess = chart.immersion.hessian(points)
-    alpha = np.einsum("pka,paij->pkij", frames, hess)
-    g = np.einsum("pai,paj->pij", jac, jac)
+    alpha = contract("pka,paij->pkij", frames, hess)
+    g = contract("pai,paj->pij", jac, jac)
     ginv = _inv_spd(g)
     trace = np.einsum("pij,pkij->pk", ginv, alpha)
-    mean_curv = np.einsum("pk,pka->pa", trace, frames) / n
+    mean_curv = contract("pk,pka->pa", trace, frames) / n
     return frames, alpha, mean_curv
 
 
@@ -647,7 +672,7 @@ def shape_operator_norms(chart, points):
 
 def _shape_norms(alpha, ginv):
     """Per-normal Hilbert-Schmidt norms of second-form components ``alpha``."""
-    sq = np.einsum("pia,pjb,pkij,pkab->pk", ginv, ginv, alpha, alpha)
+    sq = contract("pia,pjb,pkij,pkab->pk", ginv, ginv, alpha, alpha)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -664,40 +689,47 @@ def _step(chart, rel):
     return rel * float(chart.domain.extents.max())
 
 
-def apply_operator_pointwise(chart, field, points, identity_tensor=False):
+def operator_conductivity(chart, points, identity_tensor=False):
+    """The field-independent part of :func:`apply_operator_pointwise`:
+    ``(pts, sqrt(det g), K)`` at the points shifted by +-step along each
+    axis (plus, then minus), then at the points themselves."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    shifts = _step(chart, FLUX_STEP_REL) * np.eye(chart.dim_n)
+    fields = []
+    for pts in [points + sign * shift for shift in shifts for sign in (1.0, -1.0)] + [points]:
+        if identity_tensor:  # T is never evaluated, not even at the shifted points
+            g = metric(chart, pts, check_domain=False)
+            k = _inv_spd(g)
+        else:
+            g, _, _, k = chart_fields(chart, pts)
+        fields.append((pts, np.sqrt(det_small(g)), k))
+    return fields
+
+
+def apply_operator_pointwise(chart, field, points, identity_tensor=False,
+                             conductivity=None):
     """Divergence-form operator applied to a scalar field, pointwise.
 
     Computes ``(1/sqrt(det g)) d_i(sqrt(det g) K^ij d_j h) - K^ij d_i eta d_j h``
     with ``K = g^-1 T g^-1``; the outer derivative is a central difference
     with step ``FLUX_STEP_REL * max(domain extent)``.  With
     ``identity_tensor`` the coefficient tensor is replaced by the metric
-    (drifting-Laplacian case).
+    (drifting-Laplacian case).  Callers applying it to several fields pass
+    the :func:`operator_conductivity` at ``points`` once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = chart.dim_n
+    if conductivity is None:
+        conductivity = operator_conductivity(chart, points, identity_tensor)
     step = _step(chart, FLUX_STEP_REL)
-
-    def conductivity(pts):
-        """sqrt(det g) and K at pts."""
-        if identity_tensor:
-            # T is never evaluated here, not even at the shifted points
-            g = metric(chart, pts, check_domain=False)
-            return np.sqrt(det_small(g)), _inv_spd(g)
-        g, _, _, k = chart_fields(chart, pts)
-        return np.sqrt(det_small(g)), k
-
-    def flux(pts):
-        sqrt_g, k = conductivity(pts)
-        return sqrt_g[:, None] * np.einsum("pij,pj->pi", k, field.gradient(pts))
+    flux = [sqrt_g[:, None] * contract("pij,pj->pi", k, field.gradient(pts))
+            for pts, sqrt_g, k in conductivity[:-1]]
 
     div = np.zeros(points.shape[0])
-    for axis in range(n):
-        shift = np.zeros_like(points)
-        shift[:, axis] = step
-        div += (flux(points + shift)[:, axis] - flux(points - shift)[:, axis]) / (2.0 * step)
+    for axis in range(chart.dim_n):
+        div += (flux[2 * axis][:, axis] - flux[2 * axis + 1][:, axis]) / (2.0 * step)
 
-    sqrt_g, k = conductivity(points)
-    drift = np.einsum("pij,pi,pj->p", k, chart.eta.gradient(points), field.gradient(points))
+    _, sqrt_g, k = conductivity[-1]
+    drift = contract("pij,pi,pj->p", k, chart.eta.gradient(points), field.gradient(points))
     values = div / sqrt_g - drift
     if not np.all(np.isfinite(values)):
         raise EvaluationError("operator application produced non-finite values")
@@ -759,15 +791,15 @@ def trace_grad_tensor(chart, points, g, ginv, t):
         dg[:, axis] = (gp - gm) / (2.0 * step)
         dt[:, axis] = (chart.tensor.value(points + shift, gp)
                        - chart.tensor.value(points - shift, gm)) / (2.0 * step)
-    gamma = 0.5 * (np.einsum("pkl,pijl->pkij", ginv, dg)
-                   + np.einsum("pkl,pjil->pkij", ginv, dg)
-                   - np.einsum("pkl,plij->pkij", ginv, dg))
+    gamma = 0.5 * (contract("pkl,pijl->pkij", ginv, dg)
+                   + contract("pkl,pjil->pkij", ginv, dg)
+                   - contract("pkl,plij->pkij", ginv, dg))
     # nabla_t[:, i, j, k] = (nabla_i T)_{jk}
     nabla_t = (dt
-               - np.einsum("plij,plk->pijk", gamma, t)
-               - np.einsum("plik,pjl->pijk", gamma, t))
-    trace_vec = np.einsum("pij,pijk,pkb->pb", ginv, nabla_t, ginv)
-    norm = np.sqrt(np.maximum(np.einsum("pab,pa,pb->p", g, trace_vec, trace_vec), 0.0))
+               - contract("plij,plk->pijk", gamma, t)
+               - contract("plik,pjl->pijk", gamma, t))
+    trace_vec = contract("pij,pijk,pkb->pb", ginv, nabla_t, ginv)
+    norm = np.sqrt(np.maximum(contract("pab,pa,pb->p", g, trace_vec, trace_vec), 0.0))
     return trace_vec, norm
 
 
@@ -798,7 +830,7 @@ def compute_constants(chart, resolution):
 
     deta = chart.eta.gradient(pts)
     eta0 = float(np.sqrt(np.maximum(
-        np.einsum("pij,pi,pj->p", ginv, deta, deta), 0.0)).max())
+        contract("pij,pi,pj->p", ginv, deta, deta), 0.0)).max())
 
     # drifting Laplacian of eta (coefficient tensor = metric)
     eta_bar0 = float(apply_operator_pointwise(
@@ -813,8 +845,8 @@ def compute_constants(chart, resolution):
         a0 = 0.0
 
     t_star = float(np.sqrt(np.maximum(
-        np.einsum("pij,pji->p", np.einsum("pia,pab->pib", ginv, t),
-                  np.einsum("pjb,pba->pja", ginv, t)), 0.0)).max())
+        np.einsum("pij,pji->p", contract("pia,pab->pib", ginv, t),
+                  contract("pjb,pba->pja", ginv, t)), 0.0)).max())
     tr_t = np.einsum("pij,pji->p", ginv, t)
     t0 = float(trace_grad_tensor(chart, pts, g, ginv, t)[1].max())
 

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from . import bounds as bnd
 from .assembly import EigenfunctionQuadrature, assemble
 from .eigensolve import solve_sparse, vertex_fields
-from .errors import ConfigError, SpectralabError
+from .errors import ConfigError
 from .geometry import (
     CHARTS,
     ETAS,
@@ -297,9 +297,9 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
 
     Returns a :class:`RunResult` whose ``exit_code`` follows the contract:
     0 when every evaluated inequality holds within slack, 1 when some check
-    failed, 2 on a module error (partial outputs retained with a MANIFEST
-    noting incompleteness).  The resolution levels are solved one after
-    another in ascending order.
+    failed, 2 on a module error or any other exception (partial outputs
+    retained with a MANIFEST noting incompleteness).  The resolution levels
+    are solved one after another in ascending order.
     """
     if out_dir is None:
         root = os.environ.get("SPECTRA_OUT")
@@ -374,7 +374,7 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
         else:
             emit("weyl_fit.json", json.dumps(
                 {"skipped": "k_max below 10 fit points"}, indent=2) + "\n")
-    except SpectralabError as exc:
+    except Exception as exc:  # not only SpectralabError: LinAlgError, MemoryError, ...
         error_message = f"{type(exc).__name__}: {exc}"
         run.exit_code = 2
         run.messages.append(error_message)

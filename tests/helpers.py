@@ -5,9 +5,16 @@ import os
 
 import numpy as np
 
-from spectralab.assembly import EigenfunctionQuadrature, apply_Lh, assemble
+from spectralab.assembly import (
+    EigenfunctionQuadrature,
+    SparseSymMatrix,
+    _cell_geometry,
+    _dm_weight,
+    apply_Lh,
+    assemble,
+)
 from spectralab.eigensolve import solve_sparse, vertex_fields
-from spectralab.geometry import make_chart, make_eta, make_tensor
+from spectralab.geometry import _inv_spd, make_chart, make_eta, make_tensor
 from spectralab.meshing import build_structured
 
 
@@ -20,6 +27,33 @@ def pipeline(chart_id, params=(), resolution=16, k=13, eta=None, tensor=None,
     result = solve_sparse(a_mat, b_mat, k)
     result.vertex_values = vertex_fields(result, dof_map)
     return chart, mesh, (a_mat, b_mat, dof_map), result
+
+
+def reference_assemble(chart, mesh):
+    """Dirichlet A and B with every per-point contraction written as
+    ``np.einsum``: the oracle that ``assemble`` must match bit for bit."""
+    qpts, qw, grads, phi = _cell_geometry(mesh)
+    ncells, nq = qw.shape
+    flat = qpts.reshape(-1, mesh.dim)
+    jac = chart.immersion.jacobian(flat)
+    g = np.einsum("pai,paj->pij", jac, jac)
+    ginv = _inv_spd(g)
+    k = np.einsum("pia,pab,pbj->pij", ginv, chart.tensor.value(flat, g), ginv)
+    wq = _dm_weight(chart, g, flat).reshape(ncells, nq) * qw
+    k_eff = np.einsum("cq,cqij->cij", wq, k.reshape(ncells, nq, mesh.dim, mesh.dim))
+    a_elem = np.einsum("cai,cij,cbj->cab", grads, k_eff, grads)
+    b_elem = np.einsum("cq,cqa,cqb->cab", wq, phi, phi)
+    nodes = mesh.cells.shape[1]
+    pairs = [(a, b) for a in range(nodes) for b in range(a, nodes)]
+    rows = np.concatenate([mesh.cells[:, a] for a, _ in pairs])
+    cols = np.concatenate([mesh.cells[:, b] for _, b in pairs])
+    dof_map = np.cumsum(~mesh.boundary) - 1
+    dof_map[mesh.boundary] = -1
+    keep = (dof_map[rows] >= 0) & (dof_map[cols] >= 0)
+    return SparseSymMatrix.from_shared_entries(
+        int((~mesh.boundary).sum()), dof_map[rows[keep]], dof_map[cols[keep]],
+        np.concatenate([a_elem[:, a, b] for a, b in pairs])[keep],
+        np.concatenate([b_elem[:, a, b] for a, b in pairs])[keep])
 
 
 def quadrature_context(chart, mesh, result):

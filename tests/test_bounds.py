@@ -13,7 +13,7 @@ from helpers import (
     reference_proposition_integrals,
     reference_tensor_integrals,
 )
-from spectralab import assembly
+from spectralab import assembly, geometry
 from spectralab.bounds import (
     Spectrum,
     _proposition_integrals,
@@ -452,6 +452,22 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
         ref_weights, ref_rayleigh = reference_proposition_integrals(quad, h_field, k)
         _assert_columns_close(np.stack([weights, rayleigh], axis=1),
                               np.stack([ref_weights, ref_rayleigh], axis=1), 1e-12)
+
+
+def test_test_function_fields_share_one_conductivity_evaluation(monkeypatch):
+    chart, _, quad = _integral_context("weighted_sphere")
+    fields = [AmbientCoordinate(chart, axis) for axis in range(chart.dim_m)]
+    alone = [assembly.apply_Lh(chart, quad.mesh, h) for h in fields]
+    calls = []
+    chart_fields = geometry.chart_fields
+    monkeypatch.setattr(geometry, "chart_fields",
+                        lambda *args: calls.append(args) or chart_fields(*args))
+    shared = [geometry.apply_operator_pointwise(chart, h, quad.mesh.vertices,
+                                                conductivity=quad.vertex_conductivity)
+              for h in fields]
+    assert len(calls) == 2 * chart.dim_n + 1  # the shifted point sets and the vertices
+    for values, reference in zip(shared, alone):
+        assert np.array_equal(values, reference)
 
 
 def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):

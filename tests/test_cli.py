@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from spectralab import reporting
 from spectralab.cli import main
 from spectralab.errors import ConfigError
 from spectralab.reporting import catalog_text, parse_config, run_scenario
@@ -126,6 +128,29 @@ def test_module_error_gives_exit_two_and_manifest(tmp_path, capsys):
     assert "TensorError" in manifest
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("name,exc", [
+    ("compute_constants", np.linalg.LinAlgError("Singular matrix")),
+    ("_solve_level", ValueError("array must not contain infs or NaNs")),
+])
+def test_unexpected_exception_gives_exit_two_and_manifest(tmp_path, capsys, monkeypatch,
+                                                          name, exc):
+    monkeypatch.setattr(reporting, name, _raise(exc))
+    monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
+    assert main(["run", _write(tmp_path, "smoke.cfg", SMALL_CONFIG)]) == 2
+    err = capsys.readouterr().err
+    message = f"{type(exc).__name__}: {exc}"
+    assert "Traceback" not in err and message in err
+    manifest = (tmp_path / "out" / "smoke" / "MANIFEST").read_text().splitlines()
+    assert "status incomplete" in manifest
+    assert f"error {message}" in manifest
+
+
 def test_verify_writes_nothing(tmp_path, capsys):
     cfg = _write(tmp_path, "smoke.cfg", SMALL_CONFIG)
     workdir = tmp_path / "verify_out"
@@ -222,6 +247,14 @@ def test_wrong_parameter_count_exits_two_without_traceback(tmp_path, lines, erro
     assert path.exists() == manifest
     if manifest:
         assert "status incomplete" in path.read_text()
+
+
+def test_undecodable_config_exits_two_without_traceback(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00scenario.name = smoke\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codec can't decode" in err
 
 
 def test_module_entry_point(tmp_path):

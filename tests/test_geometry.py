@@ -1,8 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import reference_assemble
+from spectralab.assembly import assemble
 from spectralab.errors import DegeneracyError, DomainError, ParameterError, TensorError
 from spectralab.expressions import compile_expression
 from spectralab.geometry import (
@@ -14,6 +18,7 @@ from spectralab.geometry import (
     ExpressionWeight,
     Rectangle,
     compute_constants,
+    contract,
     make_chart,
     make_eta,
     make_tensor,
@@ -23,6 +28,8 @@ from spectralab.geometry import (
     second_fundamental_form,
     shape_operator_norms,
 )
+from spectralab.meshing import build_structured
+from spectralab.reporting import build_chart, load_scenario
 
 RNG = np.random.default_rng(7)
 
@@ -282,3 +289,84 @@ def test_disk_domain_membership():
     disk = Disk((0.0, 0.0), 1.0)
     assert not disk.contains([[0.8, 0.8]])[0]
     assert disk.contains([[0.6, 0.6]])[0]
+
+
+# every spec passed to contract in src/, with the kind of each label after
+# the batch label: n intrinsic, m ambient, c codimension m - n, q quadrature
+# points and v nodes per cell (n + 1 each)
+CONTRACT_SPECS = {
+    "pai,paj->pij": "mnn",
+    "pia,pab,pbj->pij": "nnnn",
+    "pka,paij->pkij": "cmnn",
+    "pk,pka->pa": "cm",
+    "pia,pjb,pkij,pkab->pk": "nnnnc",
+    "pij,pj->pi": "nn",
+    "pij,pi,pj->p": "nn",
+    "pkl,pijl->pkij": "nnnn",
+    "pkl,pjil->pkij": "nnnn",
+    "pkl,plij->pkij": "nnnn",
+    "plij,plk->pijk": "nnnn",
+    "plik,pjl->pijk": "nnnn",
+    "pij,pijk,pkb->pb": "nnnn",
+    "pab,pa,pb->p": "nn",
+    "pia,pab->pib": "nnn",
+    "pjb,pba->pja": "nnn",
+    "pi,pi->p": "n",
+    "cq,cqij->cij": "qnn",
+    "cai,cij,cbj->cab": "vnnv",
+    "cq,cqa,cqb->cab": "qvv",
+    "cqi,cai->cqa": "qnv",
+    "pa,pab,pbj->pj": "nnn",
+}
+# np.einsum sums these in another order than contract (diagonals, and
+# contiguous reductions that differ by up to 1.8e-15), so they stay einsum
+EINSUM_KEPT = {"pii->p", "pii->pi", "pij,pji->p", "pij,pkij->pk", "pbk,pk->pb", "pk,pk->p"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "spectralab"
+
+
+def _random_operands(spec, kinds, n, m, rng):
+    inputs = spec.split("->")[0].split(",")
+    labels = dict.fromkeys(c for c in "".join(inputs) if c != spec[0])
+    size = {"n": n, "m": m, "c": m - n, "q": n + 1, "v": n + 1}
+    sizes = {spec[0]: 40, **{c: size[kind] for c, kind in zip(labels, kinds, strict=True)}}
+    operands = []
+    for labels_of in inputs:
+        op = rng.standard_normal([sizes[c] for c in labels_of])
+        draw = rng.random(op.shape)
+        op[draw < 0.05] = 0.0
+        op[draw > 0.95] = -0.0
+        operands.append(op)
+    return operands
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("spec", sorted(CONTRACT_SPECS))
+def test_contract_is_einsum_bit_for_bit(spec, n, m):
+    rng = np.random.default_rng(sum(map(ord, spec)) + 10 * n + m)
+    operands = _random_operands(spec, CONTRACT_SPECS[spec], n, m, rng)
+    expected = np.einsum(spec, *operands)
+    got = contract(spec, *operands)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_source_contractions_are_covered():
+    text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    contracted = set(re.findall(r'contract\(\s*"([^"]+)"', text))
+    kept = set(re.findall(r'np\.einsum\(\s*"([^"]+)"', text))
+    assert contracted, "no contract call found"
+    assert contracted <= set(CONTRACT_SPECS), contracted - set(CONTRACT_SPECS)
+    assert kept <= EINSUM_KEPT, kept - EINSUM_KEPT
+
+
+@pytest.mark.parametrize("name", ["hemisphere", "square_diag_tensor"])
+def test_assembly_matches_einsum_reference_bit_for_bit(name):
+    scenario = load_scenario(str(SRC.parent.parent / "scenarios" / f"{name}.cfg"))
+    chart = build_chart(scenario)
+    mesh = build_structured(chart.domain, 12)
+    a_mat, b_mat, _ = assemble(chart, mesh)
+    a_ref, b_ref = reference_assemble(chart, mesh)
+    for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
+        assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols)
+        assert np.array_equal(got.vals, ref.vals)
