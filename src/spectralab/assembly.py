@@ -286,7 +286,7 @@ class EigenfunctionQuadrature:
         tr_t = np.einsum("pij,pji->p", self.ginv, self.tensor)
         # normal part: tr(alpha o T) = K^{ij} alpha^k_ij per normal direction
         if chart.dim_m > chart.dim_n:
-            _, alpha, _ = second_fundamental_form(chart, pts)
+            _, alpha, _ = second_fundamental_form(chart, pts, self.ginv)
             tr_alpha_t = np.einsum("pij,pkij->pk", self.k, alpha)
             normal_sq = (tr_alpha_t ** 2).sum(axis=1)
         else:

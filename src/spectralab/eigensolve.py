@@ -7,10 +7,10 @@ Two routes are provided and cross-checked against each other:
   the reference oracle on desk-size problems.
 * :func:`solve_sparse` is a shift-invert Lanczos iteration in the B inner
   product with full reorthogonalization; the sparse factorization of
-  ``A - sigma B`` (symmetric minimum-degree ordering) is computed once and
-  reused across iterations.  One loop of deflated sweeps first fills the
-  lowest ``k`` pairs and then certifies that no copy of a multiple
-  eigenvalue is missing among them.
+  ``A - sigma B`` (symmetric minimum-degree ordering) is reused across
+  iterations.  Deflated sweeps fill the lowest ``k`` pairs;
+  a Sylvester inertia count of ``A - tau B`` then certifies that no copy of
+  a multiple eigenvalue is missing among them.
 
 Eigenvectors are B-normalized and sign-fixed (largest-magnitude component
 positive) for reproducible reports.
@@ -147,14 +147,27 @@ def _fresh_vector(rng, qmat, b_csr, deflate):
     return w / norm, bw / norm
 
 
+def _ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, qmat):
+    """Ascending Ritz pairs and their residuals from the tridiagonal
+    eigenvector columns ``s_cols`` and eigenvalues ``thetas``."""
+    vecs = s_cols.T @ qmat
+    lams = sigma + 1.0 / thetas
+    idx = np.argsort(lams)
+    lams, vecs = lams[idx], vecs[idx]
+    return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
+
+
 def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
     """One B-Lanczos run on (A - sigma B)^-1 B, B-orthogonal to the rows of
     ``deflate`` (or None), for the lowest ``want`` pairs of the deflated pencil.
 
     Returns ``(lams, vecs, residuals, steps)`` once they reach ``tol`` or the
     Krylov space is exhausted (else the last estimates within ``step_cap``
-    steps), or None when the deflation set spans the whole space.  The basis
-    rows live in one buffer that doubles when full; ``B Q`` is never stored.
+    steps), or None when the deflation set spans the whole space.  When the
+    convergence estimates pass, the residual of the pair with the largest
+    relative estimate is probed first, and the ``want`` Ritz vectors are only
+    formed if it is within ``tol``.  The basis rows live in one buffer that
+    doubles when full; ``B Q`` is never stored.
     """
     n = b_csr.shape[0]
     space = n - (0 if deflate is None else len(deflate))
@@ -164,12 +177,12 @@ def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
         deflate = (deflate, (b_csr @ deflate.T).T)
     want, steps = min(want, space), min(step_cap, space)
     basis = np.empty((min(INITIAL_ROWS, steps + 1), n))
-    last = (np.zeros(0), np.zeros((0, n)), np.zeros(0), step_cap)
     start = _fresh_vector(rng, basis[:0], b_csr, deflate)
     if start is None:
-        return (*last[:3], 0)
+        return np.zeros(0), np.zeros((0, n)), np.zeros(0), 0
     basis[0], bv = start
     alphas, betas = [], []
+    last = None  # (s columns, thetas, steps) of the latest estimates that passed
 
     for m in range(1, steps + 1):
         qmat = basis[:m]
@@ -184,17 +197,18 @@ def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
         if m >= want:
             theta, s = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[:m - 1]))
             order = np.argsort(theta)[::-1][:want]
+            scale = np.maximum(np.abs(theta[order]), 1e-30)
             ests = beta * np.abs(s[-1, order])
-            gate = ests <= 10.0 * max(tol, 1e-13) * np.maximum(np.abs(theta[order]), 1e-30)
-            if np.all(gate) or m == space:
-                vecs = s[:, order].T @ qmat
-                lams = sigma + 1.0 / theta[order]
-                idx = np.argsort(lams)
-                lams, vecs = lams[idx], vecs[idx]
-                res = _relative_residuals(a_csr, b_csr, lams, vecs)
-                last = (lams, vecs, res, m)
-                if np.all(res <= tol) or m == space:
-                    return last
+            if np.all(ests <= 10.0 * max(tol, 1e-13) * scale) or m == space:
+                last = (s[:, order], theta[order], m)
+                # the pair likeliest to fail; 1.01 absorbs GEMV vs GEMM roundoff
+                j = order[np.argmax(ests / scale)]
+                probe = _relative_residuals(
+                    a_csr, b_csr, [sigma + 1.0 / theta[j]], [s[:, j] @ qmat])[0]
+                if probe <= 1.01 * tol or m == space:
+                    lams, vecs, res = _ritz_pairs(a_csr, b_csr, sigma, *last[:2], qmat)
+                    if np.all(res <= tol) or m == space:
+                        return lams, vecs, res, m
 
         if beta <= 1e-14 * max(1.0, abs(alphas[-1])):
             fresh = _fresh_vector(rng, qmat, b_csr, deflate)
@@ -209,7 +223,36 @@ def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
             grown[:m] = basis
             basis = grown
         basis[m] = v
-    return last
+    if last is None:
+        return np.zeros(0), np.zeros((0, n)), np.zeros(0), step_cap
+    s_cols, thetas, m = last
+    return (*_ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, basis[:m]), m)
+
+
+def _shift_factor(a_csr, b_csr, sigma):
+    """Sparse LU of ``A - sigma B`` for the shift-invert sweeps."""
+    try:
+        # the pencil is symmetric: order on the pattern of A + A^T, not A^T A
+        return spla.splu((a_csr - sigma * b_csr).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise ShiftError(f"factorization of A - sigma B failed (sigma={sigma}): {exc}") from exc
+
+
+def _inertia(a_csr, b_csr, tau):
+    """Number of eigenvalues of the pencil below ``tau``: by Sylvester's law
+    of inertia, the negative pivots of a symmetric ``LDL^T`` factorization of
+    ``A - tau B``.  SuperLU gives it when it keeps its pivots on the diagonal
+    of a symmetric ordering (``perm_r == perm_c``); then ``U = D L^T``."""
+    try:
+        lu = spla.splu((a_csr - tau * b_csr).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ConvergenceError(
+            f"inertia of A - tau B not computable (tau={tau}): {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceError(
+            f"inertia of A - tau B not computable (tau={tau}): off-diagonal pivot")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
@@ -221,11 +264,16 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     is kept B-orthonormal with full (two-pass) reorthogonalization and is
     stored once, so a sweep of ``steps`` Lanczos steps on an ``n``-dof
     pencil holds about ``n * steps * 8`` bytes of basis.  A single-vector
-    Krylov space sees one copy of each eigenvalue, so one loop runs sweeps
-    deflated against the pairs found so far: fill sweeps until there are
-    ``k``, then certification sweeps for one more pair.  A pair below the
-    k-th is a hidden copy and is added; none certifies the lowest ``k``.
-    Converged pairs satisfy ``|A x - lambda B x| <= tol (1+lambda) |B x|``.
+    Krylov space sees one copy of each eigenvalue, so fill sweeps deflated
+    against the pairs found so far run until there are ``k``.  Then one more
+    factorization, of ``A - tau B`` with ``tau`` just below the k-th value,
+    counts the eigenvalues below ``tau`` by Sylvester's law of inertia; the
+    shift factor is dropped first, so the two are never held at once.  If
+    the pool holds fewer, ``A - sigma B`` is factored again, a fill sweep
+    looks for the missing copies and the count is taken again; an equal
+    count certifies the lowest ``k``, and an uncertified pool is never
+    returned.  Converged pairs satisfy
+    ``|A x - lambda B x| <= tol (1+lambda) |B x|``.
 
     Parameters
     ----------
@@ -244,30 +292,35 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
         return _empty_result("sparse", tol)
     maxiter = 50 * k if maxiter is None else maxiter
 
-    try:
-        # the pencil is symmetric: order on the pattern of A + A^T, not A^T A
-        lu = spla.splu((a_csr - sigma * b_csr).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise ShiftError(f"factorization of A - sigma B failed (sigma={sigma}): {exc}") from exc
-
+    lu = _shift_factor(a_csr, b_csr, sigma)
     rng = np.random.default_rng(seed)
     pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
-    while steps_used < maxiter:
-        certify = len(pool_lams) >= k  # else fill: sweep for the k - found missing
-        if certify:
+    while True:
+        want = k - len(pool_lams)
+        if want <= 0:
             order = np.argsort(pool_lams)[:k]
             pool_lams = [pool_lams[i] for i in order]
             pool_vecs = [pool_vecs[i] for i in order]
+            tau = pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))
+            lu = None
+            want = _inertia(a_csr, b_csr, tau) - int(np.searchsorted(pool_lams, tau))
+            if want == 0:
+                break  # no copy is missing below the k-th: certified
+            if want < 0:
+                raise ConvergenceError(
+                    f"inertia counts fewer eigenvalues below {tau} than were found",
+                    best_residuals=best_residuals)
+        if steps_used >= maxiter:
+            break
+        if lu is None:  # the count found copies missing
+            lu = _shift_factor(a_csr, b_csr, sigma)
         sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng,
                                np.array(pool_vecs) if pool_vecs else None,
-                               1 if certify else k - len(pool_lams), maxiter - steps_used)
+                               want, maxiter - steps_used)
         if sweep is None:
             break  # the pool spans the whole space
         lams, vecs, res, steps = sweep
         steps_used += max(steps, 1)
-        if (certify and len(lams)
-                and lams[0] >= pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))):
-            break  # no hidden copy below the k-th: certified
         if len(lams):
             best_residuals = res
             for lam, vec, ok in zip(lams, vecs, res <= tol):
@@ -275,7 +328,7 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
                     pool_lams.append(float(lam))
                     pool_vecs.append(vec / np.sqrt(np.abs(vec @ (b_csr @ vec))))
 
-    if len(pool_lams) >= k:
+    if want == 0:
         order = np.argsort(pool_lams)[:k]
         lams = np.array([pool_lams[i] for i in order])
         vecs = _fix_signs(np.array([pool_vecs[i] for i in order]))

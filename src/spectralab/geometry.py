@@ -614,13 +614,15 @@ def check_tensor_spd(points, t, g):
             f"coefficient tensor not positive definite at sample {tuple(where)}")
 
 
-def second_fundamental_form(chart, points):
+def second_fundamental_form(chart, points, ginv=None):
     """Normal frame, second-fundamental-form components and mean curvature.
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
     by Gram-Schmidt over the ambient basis in fixed order, so it is
-    deterministic; for ``m == n`` all outputs are empty/zero.
+    deterministic; for ``m == n`` all outputs are empty/zero.  ``ginv`` is
+    the inverse metric at the points when the caller holds it (as from
+    :func:`chart_fields`); else it is computed here.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     npts = points.shape[0]
@@ -656,8 +658,8 @@ def second_fundamental_form(chart, points):
 
     hess = chart.immersion.hessian(points)
     alpha = contract("pka,paij->pkij", frames, hess)
-    g = contract("pai,paj->pij", jac, jac)
-    ginv = _inv_spd(g)
+    if ginv is None:
+        ginv = _inv_spd(metric(chart, points, check_domain=False))
     trace = np.einsum("pij,pkij->pk", ginv, alpha)
     mean_curv = contract("pk,pka->pa", trace, frames) / n
     return frames, alpha, mean_curv
@@ -666,8 +668,9 @@ def second_fundamental_form(chart, points):
 def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
     points = np.atleast_2d(points)
-    _, alpha, _ = second_fundamental_form(chart, points)
-    return _shape_norms(alpha, _inv_spd(metric(chart, points, check_domain=False)))
+    ginv = _inv_spd(metric(chart, points, check_domain=False))
+    _, alpha, _ = second_fundamental_form(chart, points, ginv)
+    return _shape_norms(alpha, ginv)
 
 
 def _shape_norms(alpha, ginv):
@@ -837,7 +840,7 @@ def compute_constants(chart, resolution):
         chart, chart.eta, pts, identity_tensor=True).max())
 
     if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, pts)
+        _, alpha, mean_curv = second_fundamental_form(chart, pts, ginv)
         h0 = float(np.linalg.norm(mean_curv, axis=1).max())
         a0 = float(_shape_norms(alpha, ginv).max())
     else:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helpers import pipeline
+from spectralab import eigensolve
 from spectralab.assembly import assemble
+from spectralab.cli import main
 from spectralab.eigensolve import (
     DENSE_LIMIT,
     INITIAL_ROWS,
+    _inertia,
+    _relative_residuals,
     solve_dense,
     solve_sparse,
     vertex_fields,
@@ -202,11 +207,179 @@ def test_small_problem_exhausts_krylov_space():
 
 def test_triple_multiplicity_certified():
     # in exact arithmetic a single-vector Krylov space holds one copy of the
-    # triple eigenvalue; the others must be found by certification sweeps
-    # that deflate the pairs found so far, on a space they do not exhaust
+    # triple eigenvalue; the inertia count below the k-th value must show the
+    # others missing, and fill sweeps that deflate the pairs found so far
+    # must find them, on a space they do not exhaust
     a, b = _diag_problem([1.0, 1.0, 1.0] + [float(v) for v in range(2, 42)])
     result = solve_sparse(a, b, 5)
     assert np.allclose(result.eigenvalues, [1.0, 1.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-10)
     assert result.residuals.max() <= 1e-8
     gram = result.vectors @ (b @ result.vectors.T)
     assert np.abs(gram - np.eye(5)).max() <= 1e-8
+
+
+def _clusters(values, rel=1e-8):
+    """Sizes of the runs of ascending values tied within ``rel``."""
+    sizes = [1]
+    for lo, hi in zip(values[:-1], values[1:]):
+        if hi - lo <= rel * abs(hi):
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def _hemisphere(res):
+    chart = make_chart("stereographic_sphere", (1.0,))
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, res))
+    return a_mat.to_csr(), b_mat.to_csr()
+
+
+@pytest.mark.parametrize("pencil", ["diag_triple", "diag_fivefold", "hemisphere_12"])
+def test_inertia_counts_eigenvalues_below_each_gap(pencil):
+    if pencil == "hemisphere_12":
+        a, b = _hemisphere(12)
+        copies = 2
+    else:
+        copies = 3 if pencil == "diag_triple" else 5
+        avals = [2.0] * copies + [0.5, 3.0, 3.0] + [float(v) for v in range(4, 20)]
+        bvals = np.linspace(0.5, 2.0, len(avals))
+        a, b = _diag_problem(np.array(avals) * bvals, bvals)  # eigenvalues avals
+    lams = solve_dense(a, b, a.shape[0]).eigenvalues
+    sizes = _clusters(lams)
+    assert max(sizes) == copies
+    ends = np.cumsum(sizes)
+    for below in ends[:-1]:
+        tau = 0.5 * (lams[below - 1] + lams[below])
+        assert _inertia(a, b, tau) == below
+
+
+def _count_sweeps(monkeypatch):
+    """Record the ``(want, result)`` of every Lanczos sweep of a solve."""
+    sweeps = []
+    sweep = eigensolve._lanczos_sweep
+
+    def counted(*args):
+        result = sweep(*args)
+        sweeps.append((args[7], result))
+        return result
+
+    monkeypatch.setattr(eigensolve, "_lanczos_sweep", counted)
+    return sweeps
+
+
+def test_simple_spectrum_needs_one_sweep(monkeypatch):
+    chart = make_chart("flat_interval")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 300))
+    sweeps = _count_sweeps(monkeypatch)
+    sparse = solve_sparse(a_mat, b_mat, 10)
+    assert len(sweeps) == 1
+    dense = solve_dense(a_mat, b_mat, 10)
+    assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-8
+
+
+def test_fivefold_copies_missed_by_the_fill_sweep_are_completed(monkeypatch):
+    a, b = _diag_problem([1.0] * 5 + [float(v) for v in range(2, 42)])
+    sweeps = _count_sweeps(monkeypatch)
+    result = solve_sparse(a, b, 7)
+    assert np.allclose(result.eigenvalues, [1.0] * 5 + [2.0, 3.0], rtol=0, atol=1e-10)
+    first = sweeps[0][1][0]
+    assert len(first) == 7 and np.sum(np.abs(first - 1.0) <= 1e-10) < 5
+    assert len(sweeps) > 1
+    gram = result.vectors @ (b @ result.vectors.T)
+    assert np.abs(gram - np.eye(7)).max() <= 1e-8
+
+
+class _PivotedLU:
+    """A factor whose row permutation is not its column permutation."""
+
+    def __init__(self, lu):
+        self.U, self.perm_c = lu.U, lu.perm_c
+        self.perm_r = lu.perm_c[::-1].copy()
+
+
+def _failing_inertia(monkeypatch, failure):
+    """Make every inertia factorization (no pivoting off the diagonal) fail
+    as ``failure``; record the keywords of every factorization."""
+    calls = []
+
+    def splu(matrix, **kwargs):
+        calls.append(kwargs)
+        lu = spla.splu(matrix, **kwargs)
+        if kwargs.get("diag_pivot_thresh") != 0.0:
+            return lu
+        if failure == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        return _PivotedLU(lu)
+
+    monkeypatch.setattr(eigensolve, "spla", types.SimpleNamespace(splu=splu))
+    return calls
+
+
+INERTIA_CONFIG = """
+scenario.name = inertia
+chart.id = flat_rectangle
+eta.kind = zero
+tensor.kind = metric
+mesh.resolutions = 8
+eigen.k_max = 4
+checks = all
+appendix.c = 1
+constants.resolution = 16
+"""
+
+
+@pytest.mark.parametrize("failure", ["off_diagonal_pivot", "singular"])
+def test_inertia_failure_is_a_convergence_error(tmp_path, capsys, monkeypatch, failure):
+    a, b = _diag_problem([float(v) for v in range(1, 30)])
+    calls = _failing_inertia(monkeypatch, failure)
+    with pytest.raises(ConvergenceError, match="inertia"):
+        solve_sparse(a, b, 4)
+    assert len(calls) == 2
+    cfg = tmp_path / "inertia.cfg"
+    cfg.write_text(INERTIA_CONFIG)
+    monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "ConvergenceError: inertia" in err
+    manifest = (tmp_path / "out" / "inertia" / "MANIFEST").read_text()
+    assert "status incomplete" in manifest
+
+
+def test_sparse_matches_eigsh_with_multiplicities_above_dense_limit():
+    a, b = _hemisphere(32)
+    assert a.shape[0] == 5953 > DENSE_LIMIT
+    sparse = solve_sparse(a, b, 13)
+    ref = np.sort(spla.eigsh(a, 13, M=b, sigma=0, return_eigenvectors=False))
+    assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
+    sizes = _clusters(sparse.eigenvalues)
+    assert max(sizes) >= 2
+    assert sizes == _clusters(ref)
+
+
+def test_step_capped_fill_sweep_reports_its_last_pairs(monkeypatch):
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 24))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    probes = []
+
+    def residuals(a_csr, b_csr, lams, vecs):
+        res = _relative_residuals(a_csr, b_csr, lams, vecs)
+        if len(lams) == 1:
+            probes.append(res[0])
+        return res
+
+    monkeypatch.setattr(eigensolve, "_relative_residuals", residuals)
+    sweeps = _count_sweeps(monkeypatch)
+    with pytest.raises(ConvergenceError) as excinfo:
+        solve_sparse(a, b, 10, maxiter=39)
+    assert len(sweeps) == 1 and sweeps[0][0] == 10
+    lams, vecs, res, steps = sweeps[0][1]
+    # the estimates passed at the capped step, but the probed residual did
+    # not, so the returned pairs were formed only after the sweep ended
+    assert steps == 39
+    assert probes and probes[-1] > 1.01 * 1e-8
+    best = excinfo.value.best_residuals
+    assert len(best) == 10
+    assert np.array_equal(best, res)
+    assert np.array_equal(best, _relative_residuals(a, b, lams, vecs))
