@@ -22,7 +22,7 @@ from .geometry import (
     second_fundamental_form,
 )
 from .meshing import Mesh, build_structured
-from .assembly import SparseSymMatrix, assemble, apply_Lh, EigenfunctionQuadrature
+from .assembly import SparseSymMatrix, assemble, EigenfunctionQuadrature
 from .eigensolve import SpectralResult, solve_dense, solve_sparse, vertex_fields
 from .bounds import (
     BoundReport,
@@ -53,7 +53,7 @@ __all__ = [
     "compute_constants", "make_chart", "make_eta", "make_tensor", "metric",
     "omega_n", "second_fundamental_form",
     "Mesh", "build_structured",
-    "SparseSymMatrix", "assemble", "apply_Lh", "EigenfunctionQuadrature",
+    "SparseSymMatrix", "assemble", "EigenfunctionQuadrature",
     "SpectralResult", "solve_dense", "solve_sparse", "vertex_fields",
     "BoundReport", "RecursionState", "Spectrum",
     "check_cheng_yang_type", "check_corollary_trio", "check_polya_type",

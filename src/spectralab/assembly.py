@@ -22,15 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshTooCoarseError, TensorError
-from .geometry import (
-    apply_operator_pointwise,
-    chart_fields,
-    contract,
-    not_spd,
-    operator_conductivity,
-    second_fundamental_form,
-    trace_grad_tensor,
-)
+from .geometry import chart_fields, contract, immersion_operator_terms, not_spd
 
 # reference quadrature
 _GAUSS_1D = (np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
@@ -184,16 +176,6 @@ def assemble(chart, mesh, dirichlet=True):
     return a_mat, b_mat, dof_map
 
 
-def apply_Lh(chart, mesh, h):
-    """Pointwise values of the divergence-form operator applied to ``h``.
-
-    Evaluates ``div_eta(T(grad h))`` at every mesh vertex from the chart
-    coordinate formula; the outer derivative uses a fixed central-difference
-    step (see :data:`spectralab.geometry.FLUX_STEP_REL`).
-    """
-    return apply_operator_pointwise(chart, h, mesh.vertices)
-
-
 # bytes of per-point values held at once when operators act on a block of
 # eigenfunctions; it bounds the block's share of the peak memory
 BLOCK_BYTES = 1 << 24
@@ -207,9 +189,13 @@ class EigenfunctionQuadrature:
     operators (one row per point, one entry per node of its cell) applied
     to blocks of eigenfunctions: the P1 value, and a direction dotted with
     the P1 gradient.  Every integral stays a dm-weighted sum of per-point
-    values.  Shared by the test-function and tensor-theorem checks; the
-    fields and the integrals of the integrated tensor bound are computed on
-    first use and kept.
+    values.  Shared by the test-function and tensor-theorem checks, which
+    both read the terms of the identity
+    ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
+    (:func:`~spectralab.geometry.immersion_operator_terms`): the tensor
+    bound at the quadrature points, the test functions ``x^a`` as
+    ``vertex_lx``.  Both are computed on first use and kept, as are the
+    integrals of the integrated tensor bound.
     """
 
     def __init__(self, chart, mesh, vertex_values):
@@ -243,10 +229,15 @@ class EigenfunctionQuadrature:
         return contract("cqi,cai->cqa", vectors, self.grads).reshape(-1, self.grads.shape[1])
 
     @cached_property
-    def vertex_conductivity(self):
-        """:func:`operator_conductivity` at the vertices, shared by every field
-        the operator is applied to there."""
-        return operator_conductivity(self.chart, self.mesh.vertices)
+    def vertex_lx(self):
+        """``L x^a`` at the vertices, shape ``(m, V)``: the operator applied
+        to the ambient coordinates in closed form,
+        ``frames^T (K^ij alpha_ij) + dx(tr(nabla T) - K d eta)``."""
+        verts = self.mesh.vertices
+        g, ginv, t, k = chart_fields(self.chart, verts)
+        frames, normal, tangential = immersion_operator_terms(self.chart, verts, g, ginv, t, k)
+        jac = self.chart.immersion.jacobian(verts)
+        return (contract("pk,pka->pa", normal, frames) + contract("pai,pi->pa", jac, tangential)).T
 
     @cached_property
     def value_operator(self):
@@ -281,20 +272,11 @@ class EigenfunctionQuadrature:
         """Pointwise fields of the integrated tensor bound at quadrature points:
         ``(tr_g T, |tr(alpha o T)|^2 + |V|^2, V)`` with the tangential vector
         ``V = tr(nabla T) - T(grad eta)`` in chart components."""
-        chart = self.chart
-        pts = self.qpts_flat
         tr_t = np.einsum("pij,pji->p", self.ginv, self.tensor)
-        # normal part: tr(alpha o T) = K^{ij} alpha^k_ij per normal direction
-        if chart.dim_m > chart.dim_n:
-            _, alpha, _ = second_fundamental_form(chart, pts, self.ginv)
-            tr_alpha_t = np.einsum("pij,pkij->pk", self.k, alpha)
-            normal_sq = (tr_alpha_t ** 2).sum(axis=1)
-        else:
-            normal_sq = np.zeros(pts.shape[0])
-        trace_grad, _ = trace_grad_tensor(chart, pts, self.g, self.ginv, self.tensor)
-        tangential = trace_grad - contract("pij,pj->pi", self.k, chart.eta.gradient(pts))
+        _, normal, tangential = immersion_operator_terms(
+            self.chart, self.qpts_flat, self.g, self.ginv, self.tensor, self.k)
         tangential_sq = contract("pab,pa,pb->p", self.g, tangential, tangential)
-        return tr_t, normal_sq + tangential_sq, tangential
+        return tr_t, (normal ** 2).sum(axis=1) + tangential_sq, tangential
 
     @cached_property
     def _tensor_integrals(self):

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShiftPositivityError
-from .geometry import apply_operator_pointwise, contract, omega_n
+from .geometry import contract, omega_n
 
 CLOSED_FORM_SLACK = 1e-9
 COMPUTED_SLACK = 1e-6
@@ -356,19 +356,21 @@ def lemma_c_bound(spec, n, c, k, slack=None):
 # test-function inequality on computed eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _proposition_integrals(quad, h_field, k_top):
-    """Per-eigenfunction integrals of the test-function inequality.
+def _proposition_integrals(quad, axis, k_top):
+    """Per-eigenfunction integrals of the test-function inequality for the
+    ambient coordinate ``h = x^axis``.
 
     Returns (weights, rayleigh, degenerate) with
     ``weights[i] = int u_i^2 T(grad h, grad h) dm`` and
     ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``, from the
     per-point operators ``Phi`` and ``R = Lh Phi + 2 (K grad h) . grad``.
+    ``grad h`` is a row of the immersion's Jacobian and ``Lh`` the closed
+    form ``quad.vertex_lx[axis]``, P1-interpolated.
     """
-    grad_h = h_field.gradient(quad.qpts_flat)
+    grad_h = quad.chart.immersion.jacobian(quad.qpts_flat)[:, axis, :]
     k_grad_h = contract("pij,pj->pi", quad.k, grad_h)
     t_hh = contract("pi,pi->p", grad_h, k_grad_h)
-    lh_q = quad.interpolate(apply_operator_pointwise(
-        quad.chart, h_field, quad.mesh.vertices, conductivity=quad.vertex_conductivity))
+    lh_q = quad.interpolate(quad.vertex_lx[axis])
     rayleigh_op = quad.point_operator(lh_q[:, None] * quad.phi
                                       + 2.0 * quad.directional(k_grad_h))
     dm = quad.dm_weights
@@ -381,23 +383,28 @@ def _proposition_integrals(quad, h_field, k_top):
 PROPOSITION_MESH_SLACK = 8.0
 
 
-def proposition_reports(quad, eigenvalues, h_field, k_list, label="h",
-                        slack=None):
-    """Test-function inequality reports for several k sharing one integral pass.
+def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
+    """Test-function inequality reports for ``h = x^axis``, the ambient
+    coordinate, at several k sharing one integral pass; labelled
+    ``proposition_testfunction(h=x<axis + 1>)``.
 
-    The default slack is ``max(1e-6, 8 h_max^2)``: ambient-coordinate test
-    functions can saturate the continuum inequality with equality (on the
-    hemisphere ``h u_1`` is itself an eigenfunction), so the discrete
-    verdict must absorb the O(h^2) eigenpair bias.  The slack used is
-    recorded in every report.
+    ``Lh`` comes in closed form from the identity
+    ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``, not from
+    finite differences.  The default slack is ``max(1e-6, 8 h_max^2)``:
+    ambient-coordinate test functions can saturate the continuum inequality
+    with equality (on the hemisphere ``h u_1`` is itself an eigenfunction),
+    so the discrete verdict must absorb the O(h^2) eigenpair bias.  The
+    slack used is recorded in every report.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if not 0 <= axis < quad.chart.dim_m:
+        raise ParameterError(f"ambient axis {axis} out of range")
     if slack is None:
         slack = max(COMPUTED_SLACK, PROPOSITION_MESH_SLACK * quad.mesh.h_max ** 2)
     k_top = max(k_list)
     if k_top + 1 > len(eigenvalues) or k_top > quad.vertex_values.shape[0]:
         raise ParameterError("need eigenpairs through index k+1")
-    weights, rayleigh, degenerate = _proposition_integrals(quad, h_field, k_top)
+    weights, rayleigh, degenerate = _proposition_integrals(quad, axis, k_top)
     note = ("degenerate test function: T(grad h, grad h) vanishes everywhere"
             if degenerate else "")
     reports = []
@@ -405,24 +412,24 @@ def proposition_reports(quad, eigenvalues, h_field, k_list, label="h",
         gaps = eigenvalues[k] - eigenvalues[:k]
         lhs = float((gaps ** 2 * weights[:k]).sum())
         rhs = float((gaps * rayleigh[:k]).sum())
-        reports.append(_report(f"proposition_testfunction({label})", k, lhs, rhs,
+        reports.append(_report(f"proposition_testfunction(h=x{axis + 1})", k, lhs, rhs,
                                slack, note=note))
     return reports
 
 
-def check_proposition_testfunction(quad, eigenvalues, h_field, k,
-                                   slack=None, label="h"):
-    """Rayleigh-Ritz test-function inequality for a trial field ``h``:
+def check_proposition_testfunction(quad, eigenvalues, axis, k, slack=None):
+    """Rayleigh-Ritz test-function inequality for the ambient coordinate
+    ``h = x^axis``:
 
     sum L_i^2 int u_i^2 T(grad h, grad h) dm
         <= sum L_i int (u_i Lh + 2 T(grad h, grad u_i))^2 dm
 
     The eigenfunctions come from the quadrature context (P1 vertex arrays);
-    ``Lh`` is evaluated at vertices by the pointwise operator formula and
-    P1-interpolated to quadrature points.
+    ``Lh`` is the closed form ``tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
+    in its ``axis`` component at the vertices, P1-interpolated to
+    quadrature points.
     """
-    return proposition_reports(quad, eigenvalues, h_field, [k], label=label,
-                               slack=slack)[0]
+    return proposition_reports(quad, eigenvalues, axis, [k], slack=slack)[0]
 
 
 # ---------------------------------------------------------------------------

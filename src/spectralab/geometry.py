@@ -412,22 +412,6 @@ class ExpressionWeight:
         return grad
 
 
-class AmbientCoordinate:
-    """Scalar field xi -> x_l(xi): one ambient coordinate of the immersion."""
-
-    def __init__(self, chart, axis):
-        if not (0 <= axis < chart.dim_m):
-            raise ParameterError(f"ambient axis {axis} out of range")
-        self.chart = chart
-        self.axis = axis
-
-    def value(self, pts):
-        return self.chart.immersion.position(pts)[:, self.axis]
-
-    def gradient(self, pts):
-        return self.chart.immersion.jacobian(pts)[:, self.axis, :]
-
-
 class MetricTensor:
     """T_ab = g_ab: the coefficient tensor equals the induced metric."""
 
@@ -543,7 +527,7 @@ def metric(chart, points, check_domain=True):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if check_domain and not np.all(chart.domain.contains(points)):
         bad = points[~chart.domain.contains(points)][0]
-        raise DomainError(f"point {tuple(bad)} outside the parameter domain")
+        raise DomainError(f"point {tuple(bad.tolist())} outside the parameter domain")
     jac = chart.immersion.jacobian(points)
     g = contract("pai,paj->pij", jac, jac)
     scale = np.einsum("pii->p", g) / chart.dim_n
@@ -611,7 +595,7 @@ def check_tensor_spd(points, t, g):
     if np.any(bad):
         where = points[bad][0]
         raise TensorError(
-            f"coefficient tensor not positive definite at sample {tuple(where)}")
+            f"coefficient tensor not positive definite at sample {tuple(where.tolist())}")
 
 
 def second_fundamental_form(chart, points, ginv=None):
@@ -692,46 +676,37 @@ def _step(chart, rel):
     return rel * float(chart.domain.extents.max())
 
 
-def operator_conductivity(chart, points, identity_tensor=False):
-    """The field-independent part of :func:`apply_operator_pointwise`:
-    ``(pts, sqrt(det g), K)`` at the points shifted by +-step along each
-    axis (plus, then minus), then at the points themselves."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    shifts = _step(chart, FLUX_STEP_REL) * np.eye(chart.dim_n)
-    fields = []
-    for pts in [points + sign * shift for shift in shifts for sign in (1.0, -1.0)] + [points]:
-        if identity_tensor:  # T is never evaluated, not even at the shifted points
-            g = metric(chart, pts, check_domain=False)
-            k = _inv_spd(g)
-        else:
-            g, _, _, k = chart_fields(chart, pts)
-        fields.append((pts, np.sqrt(det_small(g)), k))
-    return fields
-
-
-def apply_operator_pointwise(chart, field, points, identity_tensor=False,
-                             conductivity=None):
+def apply_operator_pointwise(chart, field, points, identity_tensor=False):
     """Divergence-form operator applied to a scalar field, pointwise.
 
     Computes ``(1/sqrt(det g)) d_i(sqrt(det g) K^ij d_j h) - K^ij d_i eta d_j h``
     with ``K = g^-1 T g^-1``; the outer derivative is a central difference
     with step ``FLUX_STEP_REL * max(domain extent)``.  With
     ``identity_tensor`` the coefficient tensor is replaced by the metric
-    (drifting-Laplacian case).  Callers applying it to several fields pass
-    the :func:`operator_conductivity` at ``points`` once.
+    (drifting-Laplacian case).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if conductivity is None:
-        conductivity = operator_conductivity(chart, points, identity_tensor)
     step = _step(chart, FLUX_STEP_REL)
-    flux = [sqrt_g[:, None] * contract("pij,pj->pi", k, field.gradient(pts))
-            for pts, sqrt_g, k in conductivity[:-1]]
+
+    def conductivity(pts):
+        """sqrt(det g) and K at pts."""
+        if identity_tensor:  # T is never evaluated, not even at the shifted points
+            g = metric(chart, pts, check_domain=False)
+            return np.sqrt(det_small(g)), _inv_spd(g)
+        g, _, _, k = chart_fields(chart, pts)
+        return np.sqrt(det_small(g)), k
+
+    def flux(pts):
+        sqrt_g, k = conductivity(pts)
+        return sqrt_g[:, None] * contract("pij,pj->pi", k, field.gradient(pts))
 
     div = np.zeros(points.shape[0])
     for axis in range(chart.dim_n):
-        div += (flux[2 * axis][:, axis] - flux[2 * axis + 1][:, axis]) / (2.0 * step)
+        shift = np.zeros_like(points)
+        shift[:, axis] = step
+        div += (flux(points + shift)[:, axis] - flux(points - shift)[:, axis]) / (2.0 * step)
 
-    _, sqrt_g, k = conductivity[-1]
+    sqrt_g, k = conductivity(points)
     drift = contract("pij,pi,pj->p", k, chart.eta.gradient(points), field.gradient(points))
     values = div / sqrt_g - drift
     if not np.all(np.isfinite(values)):
@@ -804,6 +779,23 @@ def trace_grad_tensor(chart, points, g, ginv, t):
     trace_vec = contract("pij,pijk,pkb->pb", ginv, nabla_t, ginv)
     norm = np.sqrt(np.maximum(contract("pab,pa,pb->p", g, trace_vec, trace_vec), 0.0))
     return trace_vec, norm
+
+
+def immersion_operator_terms(chart, points, g, ginv, t, k):
+    """The terms of ``L x = tr(alpha o T) + dx(tr nabla T - T nabla eta)``,
+    the operator applied to the immersion (Cheng & Yang, Math. Ann. 337,
+    2007; Chen & Cheng, J. Math. Soc. Japan 60, 2008).
+
+    ``g, ginv, t, k`` are the :func:`chart_fields` at ``points``.  Returns
+    ``(frames, normal, tangential)``: the normal frames ``(N, m-n, m)``,
+    ``K^ij alpha^k_ij`` per normal ``(N, m-n)`` and the chart vector
+    ``V = tr(nabla T) - K d eta`` ``(N, n)``, so that
+    ``L x = frames^T normal + dx(V)``.
+    """
+    frames, alpha, _ = second_fundamental_form(chart, points, ginv)
+    trace_grad, _ = trace_grad_tensor(chart, points, g, ginv, t)
+    tangential = trace_grad - contract("pij,pj->pi", k, chart.eta.gradient(points))
+    return frames, np.einsum("pij,pkij->pk", k, alpha), tangential
 
 
 def compute_constants(chart, resolution):

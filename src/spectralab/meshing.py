@@ -121,6 +121,12 @@ def _disk_mesh(domain, resolution):
     return Mesh(verts, cells, boundary, h_max)
 
 
+def vertex_count(domain, resolution):
+    """Vertices of ``build_structured(domain, resolution)`` and of
+    ``domain.sample_grid(resolution)``, without building either."""
+    return 1 + 6 * resolution ** 2 if isinstance(domain, Disk) else (resolution + 1) ** domain.dim
+
+
 def build_structured(domain, resolution):
     """Build a structured mesh of a Rectangle / Disk parameter domain.
 

@@ -33,7 +33,6 @@ from .geometry import (
     CHARTS,
     ETAS,
     TENSORS,
-    AmbientCoordinate,
     Disk,
     Rectangle,
     compute_constants,
@@ -41,7 +40,12 @@ from .geometry import (
     make_eta,
     make_tensor,
 )
-from .meshing import build_structured
+from .meshing import build_structured, vertex_count
+
+# the most vertices a mesh level or the constants grid of a scenario may
+# have, checked before anything is allocated; twice the largest benchmarked
+# mesh (square res 512: 263,169 vertices)
+MAX_VERTICES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,8 @@ def _thm_tensor(spec, ctx, k):
 
 
 def _proposition(spec, ctx, k_list):
-    reports = []
-    for axis in range(ctx.chart.dim_m):
-        reports += bnd.proposition_reports(ctx.quad, spec.values,
-                                           AmbientCoordinate(ctx.chart, axis), k_list,
-                                           label=f"h=x{axis + 1}")
-    return reports
+    return [report for axis in range(ctx.chart.dim_m)
+            for report in bnd.proposition_reports(ctx.quad, spec.values, axis, k_list)]
 
 
 # the check catalog, in the order reports are emitted at each k
@@ -126,6 +126,12 @@ class Scenario:
             raise ConfigError(f"unknown chart id {self.chart_id!r}")
         if list(self.resolutions) != sorted(self.resolutions) or not self.resolutions:
             raise ConfigError("mesh.resolutions must be a nonempty ascending list")
+        domain = self.domain or CHARTS[self.chart_id].domain(*CHARTS[self.chart_id].defaults)
+        for key, res in [("mesh.resolutions", self.resolutions[-1]),
+                         ("constants.resolution", self.constants_resolution)]:
+            if vertex_count(domain, res) > MAX_VERTICES:
+                raise ConfigError(f"{key}: resolution {res} gives {vertex_count(domain, res)} "
+                                  f"vertices, above the limit of {MAX_VERTICES}")
         if self.k_max < 2:
             raise ConfigError("eigen.k_max must be at least 2")
         for name in self.active_checks:
@@ -160,10 +166,13 @@ def parse_config(text):
             return tuple(default)
         text = values.pop(key)
         try:
-            return tuple(convert(tok) for tok in text.split())
-        except ValueError as exc:
-            raise ConfigError(f"line {linenos[key]}: {key} expects "
-                              f"{convert.__name__} values, got {text!r}") from exc
+            found = tuple(convert(tok) for tok in text.split())
+            if all(map(math.isfinite, found)):
+                return found
+        except ValueError:
+            pass
+        raise ConfigError(f"line {linenos[key]}: {key} expects finite "
+                          f"{convert.__name__} values, got {text!r}")
 
     def scalar(key, convert, default):
         found = numbers(key, convert, (default,))

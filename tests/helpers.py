@@ -10,23 +10,63 @@ from spectralab.assembly import (
     SparseSymMatrix,
     _cell_geometry,
     _dm_weight,
-    apply_Lh,
     assemble,
 )
 from spectralab.eigensolve import solve_sparse, vertex_fields
-from spectralab.geometry import _inv_spd, make_chart, make_eta, make_tensor
+from spectralab.geometry import (
+    CallableImmersion,
+    Chart,
+    Rectangle,
+    _inv_spd,
+    make_chart,
+    make_eta,
+    make_tensor,
+)
 from spectralab.meshing import build_structured
+
+
+class AmbientCoordinate:
+    """Scalar field xi -> x_l(xi): one ambient coordinate of the immersion,
+    the test function that ``apply_operator_pointwise`` takes as an oracle
+    for the closed-form ``L x``."""
+
+    def __init__(self, chart, axis):
+        self.chart = chart
+        self.axis = axis
+
+    def value(self, pts):
+        return self.chart.immersion.position(pts)[:, self.axis]
+
+    def gradient(self, pts):
+        return self.chart.immersion.jacobian(pts)[:, self.axis, :]
 
 
 def pipeline(chart_id, params=(), resolution=16, k=13, eta=None, tensor=None,
              domain=None):
     """Chart -> mesh -> assemble -> sparse solve, returning all stages."""
     chart = make_chart(chart_id, params, domain=domain, eta=eta, tensor=tensor)
+    return (chart,) + solve_chart(chart, resolution, k)
+
+
+def solve_chart(chart, resolution=16, k=13):
+    """Mesh -> assemble -> sparse solve of a built chart: (mesh, matrices, result)."""
     mesh = build_structured(chart.domain, resolution)
     a_mat, b_mat, dof_map = assemble(chart, mesh)
     result = solve_sparse(a_mat, b_mat, k)
     result.vertex_values = vertex_fields(result, dof_map)
-    return chart, mesh, (a_mat, b_mat, dof_map), result
+    return mesh, (a_mat, b_mat, dof_map), result
+
+
+def flat_square_in_r3():
+    """The unit square at height 1 in R^3: a codimension-1 chart whose third
+    ambient coordinate is constant."""
+    immersion = CallableImmersion(
+        2, 3,
+        position=lambda p: np.stack([p[:, 0], p[:, 1], np.ones(len(p))], axis=-1),
+        jacobian=lambda p: np.broadcast_to(np.eye(3, 2), (len(p), 3, 2)),
+        hessian=lambda p: np.zeros((len(p), 3, 2, 2)))
+    return Chart(2, 3, Rectangle(((0.0, 1.0), (0.0, 1.0))), immersion,
+                 make_eta("zero"), make_tensor("metric"))
 
 
 def reference_assemble(chart, mesh):
@@ -72,12 +112,13 @@ def _reference_gradient(quad, i):
     return np.repeat(np.einsum("cai,ca->ci", quad.grads, nodal), quad.nq, axis=0)
 
 
-def reference_proposition_integrals(quad, h_field, k_top):
-    """Test-function integrals one eigenfunction at a time: the oracle for
+def reference_proposition_integrals(quad, axis, k_top):
+    """Test-function integrals for ``h = x^axis`` one eigenfunction at a
+    time, from the same vertex ``L x``: the oracle for
     ``bounds._proposition_integrals``."""
-    grad_h = h_field.gradient(quad.qpts_flat)
+    grad_h = AmbientCoordinate(quad.chart, axis).gradient(quad.qpts_flat)
     t_hh = np.einsum("pij,pi,pj->p", quad.k, grad_h, grad_h)
-    lh_q = _reference_values(quad, apply_Lh(quad.chart, quad.mesh, h_field))
+    lh_q = _reference_values(quad, quad.vertex_lx[axis])
     weights = np.empty(k_top)
     rayleigh = np.empty(k_top)
     for i in range(k_top):

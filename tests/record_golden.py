@@ -1,7 +1,8 @@
 """Record the expected outputs of the shipped scenarios.
 
-Run from the repository root with ``PYTHONPATH=src python
-tests/record_golden.py``.  It runs every ``scenarios/*.cfg`` without
+Run from the repository root with ``PYTHONPATH=src OMP_NUM_THREADS=1 python
+tests/record_golden.py`` (threaded BLAS moves the last digits of some
+integrals, well inside the comparison's tolerance).  It runs every ``scenarios/*.cfg`` without
 writing artifacts and stores its eigenvalues per resolution and every
 report row in ``tests/golden_scenarios.json``, which
 ``test_criterion_4_inequality_suite`` compares fresh runs against.  Re-record

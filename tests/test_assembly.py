@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import diag_tensor, linear_eta, weighted_volume
-from spectralab.assembly import SparseSymMatrix, apply_Lh, assemble
+from helpers import AmbientCoordinate, diag_tensor, linear_eta, weighted_volume
+from spectralab.assembly import EigenfunctionQuadrature, SparseSymMatrix, assemble
 from spectralab.errors import MeshTooCoarseError, TensorError
 from spectralab.eigensolve import solve_dense
-from spectralab.geometry import LinearWeight, ZeroWeight, make_chart, make_eta, make_tensor
+from spectralab.geometry import (
+    CHARTS,
+    LinearWeight,
+    ZeroWeight,
+    apply_operator_pointwise,
+    make_chart,
+    make_eta,
+    make_tensor,
+)
 from spectralab.meshing import Mesh, build_structured
 
 
@@ -177,14 +185,14 @@ def test_from_entries_coalesces_duplicates():
 def test_apply_Lh_constant_is_zero():
     chart = make_chart("flat_interval")
     mesh = build_structured(chart.domain, 8)
-    values = apply_Lh(chart, mesh, ZeroWeight())
+    values = apply_operator_pointwise(chart, ZeroWeight(), mesh.vertices)
     assert np.abs(values).max() == 0.0
 
 
 def test_apply_Lh_quadratic_flat():
     chart = make_chart("flat_interval")
     mesh = build_structured(chart.domain, 8)
-    values = apply_Lh(chart, mesh, QuadraticField())
+    values = apply_operator_pointwise(chart, QuadraticField(), mesh.vertices)
     assert np.allclose(values, 2.0, atol=1e-9)
 
 
@@ -192,18 +200,74 @@ def test_apply_Lh_linear_with_drift():
     # L h = h'' - eta' h' = 0 - 2 for h = xi, eta = 2 xi
     chart = make_chart("flat_interval", eta=make_eta("linear", (2.0,), dim=1))
     mesh = build_structured(chart.domain, 8)
-    values = apply_Lh(chart, mesh, LinearWeight([1.0]))
+    values = apply_operator_pointwise(chart, LinearWeight([1.0]), mesh.vertices)
     assert np.allclose(values, -2.0, atol=1e-9)
 
 
 def test_apply_Lh_sphere_coordinate():
     # restriction of an ambient coordinate to the unit sphere satisfies
     # Laplace-Beltrami(x_l) = -2 x_l
-    from spectralab.geometry import AmbientCoordinate
-
     chart = make_chart("stereographic_sphere", (1.0,))
     mesh = build_structured(chart.domain, 6)
     field = AmbientCoordinate(chart, 0)
-    values = apply_Lh(chart, mesh, field)
+    values = apply_operator_pointwise(chart, field, mesh.vertices)
     expected = -2.0 * field.value(mesh.vertices)
     assert np.allclose(values, expected, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# L x in closed form from the immersion identity
+# ---------------------------------------------------------------------------
+
+def _vertex_lx(chart, resolution=6):
+    mesh = build_structured(chart.domain, resolution)
+    return mesh, EigenfunctionQuadrature(chart, mesh, np.zeros(mesh.num_vertices)).vertex_lx
+
+
+@pytest.mark.parametrize("chart_id,params,expected", [
+    # mean-curvature vectors: -2 x / r^2 on the sphere, -(x, y, 0) / r^2 on
+    # the cylinder, 0 on the minimal associate family
+    ("stereographic_sphere", (1.0,), lambda x, r: -2.0 * x / r ** 2),
+    ("stereographic_sphere", (2.0,), lambda x, r: -2.0 * x / r ** 2),
+    ("cylinder", (1.5,), lambda x, r: -x * np.array([1.0, 1.0, 0.0]) / r ** 2),
+    ("associate_family", (0.0,), lambda x, r: 0.0 * x),
+    ("associate_family", (0.7,), lambda x, r: 0.0 * x),
+])
+def test_closed_form_lx_exact_on_metric_tensor(chart_id, params, expected):
+    chart = make_chart(chart_id, params)
+    mesh, lx = _vertex_lx(chart, 8)
+    x = chart.immersion.position(mesh.vertices)
+    assert lx.shape == (3, mesh.num_vertices)
+    assert np.abs(lx.T - expected(x, params[0])).max() <= 1e-12 * (1.0 + np.abs(lx).max())
+
+
+_TENSORS = {
+    1: {"metric": ((), None), "diag": ((1.7,), None), "expr": ((), "1 + 0.3*x^2")},
+    2: {"metric": ((), None), "diag": ((1.0, 2.0), None),
+        "expr": ((), "1.2 + 0.2*x*x; 0.1*x*y; 1.5 + 0.1*sin(y)")},
+}
+_ETAS = {
+    1: {"zero": ((), None), "linear": ((0.4,), None), "radial_quadratic": ((0.3,), None),
+        "expr": ((), "0.3*sin(x)")},
+    2: {"zero": ((), None), "linear": ((0.4, -0.2), None),
+        "radial_quadratic": ((0.3,), None), "expr": ((), "0.3*sin(x) + 0.2*x*y")},
+}
+
+
+@pytest.mark.parametrize("tensor_kind", ["metric", "diag", "expr"])
+@pytest.mark.parametrize("chart_id", sorted(CHARTS))
+def test_closed_form_lx_matches_finite_difference_operator(chart_id, tensor_kind):
+    dim = CHARTS[chart_id].dim
+    params, expr = _TENSORS[dim][tensor_kind]
+    tensor = make_tensor(tensor_kind, params, expr, dim=dim)
+    for eta_kind, (eta_params, eta_expr) in _ETAS[dim].items():
+        chart = make_chart(chart_id, eta=make_eta(eta_kind, eta_params, eta_expr, dim=dim),
+                           tensor=tensor)
+        mesh, lx = _vertex_lx(chart)
+        oracle = np.stack([apply_operator_pointwise(chart, AmbientCoordinate(chart, a),
+                                                    mesh.vertices)
+                           for a in range(chart.dim_m)])
+        # the metric tensor is exact in closed form; otherwise the covariant
+        # derivative of T carries trace_grad_tensor's step-1/1024 differences
+        rel = 1e-9 if tensor_kind == "metric" else 1e-5
+        assert np.abs(lx - oracle).max() <= rel * (1.0 + np.abs(oracle).max()), eta_kind

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     diag_tensor,
+    flat_square_in_r3,
     pipeline,
     quadrature_context,
     radial_eta,
     reference_proposition_integrals,
     reference_tensor_integrals,
+    solve_chart,
 )
-from spectralab import assembly, geometry
+from spectralab import assembly
 from spectralab.bounds import (
     Spectrum,
     _proposition_integrals,
@@ -35,7 +37,6 @@ from spectralab.bounds import (
 )
 from spectralab.errors import ParameterError, ShiftPositivityError
 from spectralab.geometry import (
-    AmbientCoordinate,
     Disk,
     GeometricConstants,
     compute_constants,
@@ -375,39 +376,34 @@ def test_comparators_without_constants_skip_li_yau():
 def test_proposition_square_first_coordinate():
     chart, mesh, _, result = pipeline("flat_rectangle", resolution=24, k=5)
     quad = quadrature_context(chart, mesh, result)
-    h_field = AmbientCoordinate(chart, 0)
-    report = check_proposition_testfunction(quad, result.eigenvalues, h_field, 3,
-                                            label="h=x1")
-    assert report.holds
+    report = check_proposition_testfunction(quad, result.eigenvalues, 0, 3)
+    assert report.holds and report.name == "proposition_testfunction(h=x1)"
     # with |grad h| = 1 the weight integrals reproduce the normalization
     weights = [quad.integrate(quad.u_at_quadrature(i) ** 2) for i in range(3)]
     assert np.allclose(weights, 1.0, atol=1e-6)
 
 
 def test_proposition_constant_test_function_degenerate():
-    chart, mesh, _, result = pipeline("flat_rectangle", resolution=8, k=3)
+    # the square in R^3 with a constant third coordinate: h = x3 is constant
+    chart = flat_square_in_r3()
+    mesh, _, result = solve_chart(chart, 8, 3)
     quad = quadrature_context(chart, mesh, result)
-
-    class ConstantField:
-        def value(self, pts):
-            return np.ones(np.atleast_2d(pts).shape[0])
-
-        def gradient(self, pts):
-            return np.zeros_like(np.atleast_2d(pts))
-
-    report = check_proposition_testfunction(quad, result.eigenvalues,
-                                            ConstantField(), 2)
+    report = check_proposition_testfunction(quad, result.eigenvalues, 2, 2)
     assert report.lhs == 0.0 and report.holds
     assert "degenerate" in report.note
+    assert report.name == "proposition_testfunction(h=x3)"
+    assert "degenerate" not in check_proposition_testfunction(
+        quad, result.eigenvalues, 0, 2).note
 
 
 def test_proposition_reports_match_single_calls():
     chart, mesh, _, result = pipeline("flat_rectangle", resolution=12, k=5)
     quad = quadrature_context(chart, mesh, result)
-    h_field = AmbientCoordinate(chart, 1)
-    multi = proposition_reports(quad, result.eigenvalues, h_field, [1, 3])
-    single = check_proposition_testfunction(quad, result.eigenvalues, h_field, 3)
+    multi = proposition_reports(quad, result.eigenvalues, 1, [1, 3])
+    single = check_proposition_testfunction(quad, result.eigenvalues, 1, 3)
     assert multi[1].lhs == single.lhs and multi[1].rhs == single.rhs
+    with pytest.raises(ParameterError):
+        proposition_reports(quad, result.eigenvalues, 2, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +443,10 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
     k = quad.vertex_values.shape[0]
     _assert_columns_close(quad.tensor_integrals(k), reference_tensor_integrals(quad, k), 1e-12)
     for axis in range(chart.dim_m):
-        h_field = AmbientCoordinate(chart, axis)
-        weights, rayleigh, _ = _proposition_integrals(quad, h_field, k)
-        ref_weights, ref_rayleigh = reference_proposition_integrals(quad, h_field, k)
+        weights, rayleigh, _ = _proposition_integrals(quad, axis, k)
+        ref_weights, ref_rayleigh = reference_proposition_integrals(quad, axis, k)
         _assert_columns_close(np.stack([weights, rayleigh], axis=1),
                               np.stack([ref_weights, ref_rayleigh], axis=1), 1e-12)
-
-
-def test_test_function_fields_share_one_conductivity_evaluation(monkeypatch):
-    chart, _, quad = _integral_context("weighted_sphere")
-    fields = [AmbientCoordinate(chart, axis) for axis in range(chart.dim_m)]
-    alone = [assembly.apply_Lh(chart, quad.mesh, h) for h in fields]
-    calls = []
-    chart_fields = geometry.chart_fields
-    monkeypatch.setattr(geometry, "chart_fields",
-                        lambda *args: calls.append(args) or chart_fields(*args))
-    shared = [geometry.apply_operator_pointwise(chart, h, quad.mesh.vertices,
-                                                conductivity=quad.vertex_conductivity)
-              for h in fields]
-    assert len(calls) == 2 * chart.dim_n + 1  # the shifted point sets and the vertices
-    for values, reference in zip(shared, alone):
-        assert np.array_equal(values, reference)
 
 
 def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
@@ -478,8 +457,7 @@ def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
         monkeypatch.setattr(assembly, "BLOCK_BYTES", budget)
         quad = quadrature_context(chart, first.mesh, result)
         results.append([quad.tensor_integrals(k)]
-                       + [np.stack(_proposition_integrals(quad, AmbientCoordinate(chart, a),
-                                                          k)[:2], axis=1)
+                       + [np.stack(_proposition_integrals(quad, a, k)[:2], axis=1)
                           for a in range(chart.dim_m)])
     for blocked, whole in zip(*results):
         _assert_columns_close(blocked, whole, 1e-14)

@@ -199,11 +199,15 @@ def test_missing_config_file_exit_two(capsys):
     ("eigen.k_max", "3 4"),
     ("constants.resolution", ""),
     ("domain.radius", ""),
+    ("appendix.c", "nan"),            # non-finite floats
+    ("appendix.c", "inf"),
+    ("domain.bounds", "0 inf 0 1"),
 ])
 def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
-    base = SMALL_CONFIG
-    if key == "domain.radius":
-        base += "domain.kind = disk\ndomain.radius = 1\n"
+    base = SMALL_CONFIG + {
+        "domain.radius": "domain.kind = disk\ndomain.radius = 1\n",
+        "domain.bounds": "domain.kind = rectangle\ndomain.bounds = 0 1 0 1\n",
+    }.get(key, "")
     text = "\n".join(f"{key} = {bad}" if line.startswith(f"{key} =") else line
                      for line in base.splitlines())
     assert f"{key} = {bad}" in text
@@ -217,6 +221,28 @@ def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
     assert "Traceback" not in result.stderr
     lineno = text.splitlines().index(f"{key} = {bad}") + 1
     assert result.stderr.startswith(f"error: line {lineno}: {key} ")
+
+
+@pytest.mark.parametrize("key,line", [
+    ("mesh.resolutions", "mesh.resolutions = 4 100000"),
+    ("constants.resolution", "constants.resolution = 100000"),
+    ("mesh.resolutions", "domain.kind = disk\nmesh.resolutions = 4 300"),
+])
+def test_oversized_scenario_rejected_before_allocation(tmp_path, key, line):
+    text = "\n".join(line if entry.startswith(f"{key} =") else entry
+                     for entry in SMALL_CONFIG.splitlines())
+    with pytest.raises(ConfigError, match=f"^{key}: resolution .* above the limit of "
+                                          f"{reporting.MAX_VERTICES}$"):
+        parse_config(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "spectralab", "run", _write(tmp_path, "big.cfg", text)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": "src", "SPECTRA_OUT": str(tmp_path / "out")},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {key}: resolution ")
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lines,error,manifest", [

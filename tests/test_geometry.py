@@ -5,13 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_assemble
+from helpers import AmbientCoordinate, reference_assemble
 from spectralab.assembly import assemble
 from spectralab.errors import DegeneracyError, DomainError, ParameterError, TensorError
 from spectralab.expressions import compile_expression
 from spectralab.geometry import (
     CHARTS,
-    AmbientCoordinate,
     CallableImmersion,
     Chart,
     Disk,
@@ -70,7 +69,7 @@ def test_associate_family_metric_theta_independent():
 
 def test_metric_outside_domain_rejected():
     chart = make_chart("flat_rectangle")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point \(1\.5, 0\.5\) outside the"):
         metric(chart, [[1.5, 0.5]])
 
 
@@ -224,7 +223,7 @@ def test_expression_tensor_parallel_when_proportional_to_metric():
 
 def test_indefinite_tensor_rejected():
     chart = make_chart("flat_rectangle", tensor=make_tensor("diag", (1.0, -1.0)))
-    with pytest.raises(TensorError):
+    with pytest.raises(TensorError, match=r"definite at sample \(0\.0, 0\.0\)$"):
         compute_constants(chart, 8)
 
 
@@ -317,6 +316,7 @@ CONTRACT_SPECS = {
     "cq,cqa,cqb->cab": "qvv",
     "cqi,cai->cqa": "qnv",
     "pa,pab,pbj->pj": "nnn",
+    "pai,pi->pa": "mn",
 }
 # np.einsum sums these in another order than contract (diagonals, and
 # contiguous reductions that differ by up to 1.8e-15), so they stay einsum

@@ -6,11 +6,18 @@ from scipy.spatial.distance import pdist
 
 from spectralab.errors import ParameterError
 from spectralab.geometry import Disk, Rectangle
-from spectralab.meshing import build_structured
+from spectralab.meshing import build_structured, vertex_count
 
 UNIT_SQUARE = Rectangle(((0.0, 1.0), (0.0, 1.0)))
 UNIT_INTERVAL = Rectangle(((0.0, 1.0),))
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, Rectangle(((0.0, 1.0), (0.0, 2.0))), UNIT_DISK])
+def test_vertex_count_matches_built_mesh_and_sample_grid(domain):
+    for res in (2, 5, 16, 33):
+        assert vertex_count(domain, res) == build_structured(domain, res).num_vertices
+        assert vertex_count(domain, res) == len(domain.sample_grid(res))
 
 
 def test_interval_mesh_counts():
