@@ -9,7 +9,8 @@ triangles (exact for quadratics) and 2-point Gauss on segments.  Dirichlet
 vertices are eliminated, keeping both matrices symmetric positive definite.
 
 Assembly order is deterministic (cells ascending, fixed local node order),
-so repeated runs produce bit-identical matrices.
+so repeated runs produce bit-identical matrices.  Per-point fields live one
+block of cells within :data:`BLOCK_BYTES` at a time; no float depends on it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import scipy.sparse as sp
 
 from .errors import MeshTooCoarseError, TensorError
 from .geometry import chart_fields, contract, immersion_operator_terms, not_spd
+
+# bytes of per-point values held at once by an assembly block of cells, or
+# when operators act on a block of eigenfunctions; it bounds the block's
+# share of the peak memory
+BLOCK_BYTES = 1 << 24
 
 # reference quadrature
 _GAUSS_1D = (np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
@@ -43,24 +49,11 @@ class SparseSymMatrix:
     vals: np.ndarray
 
     @classmethod
-    def from_entries(cls, dim, rows, cols, vals):
-        """Coalesce duplicate (row, col) entries; canonicalize to row <= col."""
-        return cls.from_shared_entries(dim, rows, cols, vals)[0]
-
-    @classmethod
     def from_shared_entries(cls, dim, rows, cols, *vals):
         """One coalesced matrix per value array over the shared (row, col)
         pattern, which is sorted once."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        key = lo * dim + hi
-        boundaries = np.concatenate([[0], np.nonzero(np.diff(key))[0] + 1])
-        lo, hi = lo[boundaries], hi[boundaries]
-        return [cls(dim, lo, hi, np.add.reduceat(np.asarray(v, dtype=float)[order], boundaries))
+        order, starts, lo, hi = _sorted_pattern(dim, rows, cols)
+        return [cls(dim, lo, hi, np.add.reduceat(np.asarray(v, dtype=float)[order], starts))
                 for v in vals]
 
     def to_csr(self):
@@ -71,19 +64,26 @@ class SparseSymMatrix:
         vals = np.concatenate([self.vals, self.vals[off]])
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
 
-    def to_dense(self):
-        return self.to_csr().toarray()
 
-    def dump(self, path):
-        """Coordinate text format `i j value` (upper triangle, 17 digits)."""
-        with open(path, "w") as handle:
-            for i, j, v in zip(self.rows, self.cols, self.vals):
-                handle.write(f"{i} {j} {v:.17g}\n")
+def _sorted_pattern(dim, rows, cols):
+    """Stable sort order of upper-triangle entries, the start of each run of
+    equal entries in it, and the run's (row, col).  The key ``min * dim + max``
+    orders as a lexicographic sort on (min, max) does; it is freed on return,
+    before the values are reduced."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    key = np.minimum(rows, cols).astype(np.int64)
+    key *= dim
+    key += np.maximum(rows, cols)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    return (order, starts) + np.divmod(key[starts], dim)
 
 
-def _cell_geometry(mesh):
-    """Quadrature points, chart-measure weights and P1 gradients per cell."""
-    verts = mesh.vertices[mesh.cells]
+def _cell_geometry(mesh, cells=slice(None)):
+    """Quadrature points, chart-measure weights and P1 gradients per cell,
+    for the cells selected by ``cells`` (all by default)."""
+    verts = mesh.vertices[mesh.cells[cells]]
     if mesh.dim == 1:
         h = verts[:, 1, 0] - verts[:, 0, 0]
         ref, wref = _GAUSS_1D
@@ -138,31 +138,22 @@ def assemble(chart, mesh, dirichlet=True):
     (A, B, dof_map) : SparseSymMatrix pair and an int array mapping vertex
     index to reduced index (-1 on eliminated boundary vertices).
     """
-    qpts, qw, grads, phi = _cell_geometry(mesh)
-    ncells, nq = qw.shape
-    flat = qpts.reshape(-1, mesh.dim)
-    g, _, t, k = chart_fields(chart, flat)
-    w = _dm_weight(chart, g, flat)
-    bad = not_spd(t, g)
-    if np.any(bad):
-        cell = int(np.nonzero(bad)[0][0] // nq)
+    ncells, nodes = mesh.cells.shape
+    upper = np.triu_indices(nodes)  # local pairs (a, b), a <= b, in a fixed order
+    a_vals = np.empty((len(upper[0]), ncells))
+    b_vals = np.empty_like(a_vals)
+    first_bad = None
+    # every value is computed per point or per cell, so contiguous cell
+    # blocks give the same floats as one pass over the mesh
+    step = max(1, BLOCK_BYTES // (nodes * _point_bytes(chart)))  # one point per node
+    for lo in range(0, ncells, step):
+        block = slice(lo, lo + step)
+        a_vals[:, block], b_vals[:, block], bad = _element_entries(chart, mesh, block, upper)
+        if first_bad is None and np.any(bad):
+            first_bad = lo + int(np.argmax(bad))
+    if first_bad is not None:  # after every block: errors from the fields come first
         raise TensorError(
-            f"coefficient tensor not positive definite at a quadrature point of cell {cell}")
-    kq = k.reshape(ncells, nq, mesh.dim, mesh.dim)
-    wq = (w.reshape(ncells, nq)) * qw
-
-    # stiffness: grads are constant per cell, so sum the weighted K first
-    k_eff = contract("cq,cqij->cij", wq, kq)
-    a_elem = contract("cai,cij,cbj->cab", grads, k_eff, grads)
-    b_elem = contract("cq,cqa,cqb->cab", wq, phi, phi)
-
-    # local upper-triangle pairs, in a fixed order
-    nodes = mesh.cells.shape[1]
-    pairs = [(a, b) for a in range(nodes) for b in range(a, nodes)]
-    rows = np.concatenate([mesh.cells[:, a] for a, _ in pairs])
-    cols = np.concatenate([mesh.cells[:, b] for _, b in pairs])
-    avals = np.concatenate([a_elem[:, a, b] for a, b in pairs])
-    bvals = np.concatenate([b_elem[:, a, b] for a, b in pairs])
+            f"coefficient tensor not positive definite at a quadrature point of cell {first_bad}")
 
     kept = ~mesh.boundary if dirichlet else np.ones(mesh.num_vertices, dtype=bool)
     if not np.any(kept):
@@ -170,15 +161,37 @@ def assemble(chart, mesh, dirichlet=True):
     dofs = int(kept.sum())
     dof_map = -np.ones(mesh.num_vertices, dtype=int)
     dof_map[kept] = np.arange(dofs)
-    keep = (dof_map[rows] >= 0) & (dof_map[cols] >= 0)
-    a_mat, b_mat = SparseSymMatrix.from_shared_entries(
-        dofs, dof_map[rows[keep]], dof_map[cols[keep]], avals[keep], bvals[keep])
+    # entries pair by pair, cells ascending, without eliminated vertices;
+    # int32 indices halve the pattern's memory (the sort key is int64)
+    dof32 = dof_map.astype(np.int32)
+    rows, cols = dof32[mesh.cells[:, upper[0]].T], dof32[mesh.cells[:, upper[1]].T]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, a_vals, b_vals = rows[keep], cols[keep], a_vals[keep], b_vals[keep]
+    a_mat, b_mat = SparseSymMatrix.from_shared_entries(dofs, rows, cols, a_vals, b_vals)
     return a_mat, b_mat, dof_map
 
 
-# bytes of per-point values held at once when operators act on a block of
-# eigenfunctions; it bounds the block's share of the peak memory
-BLOCK_BYTES = 1 << 24
+def _point_bytes(chart):
+    """Bytes per point an assembly block holds at once: the Jacobian, g, g^-1,
+    T and K with their contraction temporaries, and a few scalars."""
+    return 8 * (chart.dim_m * chart.dim_n + 6 * chart.dim_n ** 2 + 10)
+
+
+def _element_entries(chart, mesh, cells, upper):
+    """Stiffness and mass entries of the local pairs ``upper`` on a slice of
+    cells, each of shape ``(pairs, cells)``, and the mask of the cells with a
+    quadrature point where T is not positive definite."""
+    qpts, qw, grads, phi = _cell_geometry(mesh, cells)
+    ncells, nq = qw.shape
+    flat = qpts.reshape(-1, mesh.dim)
+    g, _, t, k = chart_fields(chart, flat)
+    wq = _dm_weight(chart, g, flat).reshape(ncells, nq) * qw
+    # stiffness: grads are constant per cell, so sum the weighted K first
+    k_eff = contract("cq,cqij->cij", wq, k.reshape(ncells, nq, mesh.dim, mesh.dim))
+    a_elem = contract("cai,cij,cbj->cab", grads, k_eff, grads)
+    b_elem = contract("cq,cqa,cqb->cab", wq, phi, phi)
+    bad = not_spd(t, g).reshape(ncells, nq).any(axis=1)
+    return a_elem[:, upper[0], upper[1]].T, b_elem[:, upper[0], upper[1]].T, bad
 
 
 class EigenfunctionQuadrature:
@@ -247,9 +260,6 @@ class EigenfunctionQuadrature:
     def interpolate(self, vertex_field):
         """P1 interpolation of a vertex field to quadrature points, flat."""
         return self.value_operator @ np.asarray(vertex_field, dtype=float)
-
-    def u_at_quadrature(self, i):
-        return self.interpolate(self.vertex_values[i])
 
     def column_integrals(self, operators, terms, k):
         """Integrals ``sum_p w_p (A_a u_i)_p (A_b u_i)_p`` for ``i < k``, one row

@@ -57,17 +57,6 @@ class Mesh:
         e2 = v[:, 2] - v[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    def export_text(self):
-        """Plain-text listing: `v x1 [x2]`, `c i j [k]`, `b i` records."""
-        lines = []
-        for vert in self.vertices:
-            lines.append("v " + " ".join(f"{x:.17g}" for x in vert))
-        for cell in self.cells:
-            lines.append("c " + " ".join(str(i) for i in cell))
-        for idx in np.nonzero(self.boundary)[0]:
-            lines.append(f"b {idx}")
-        return "\n".join(lines) + "\n"
-
 
 def _interval_mesh(domain, resolution):
     (a, b), = domain.bounds

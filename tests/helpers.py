@@ -96,8 +96,38 @@ def reference_assemble(chart, mesh):
         np.concatenate([b_elem[:, a, b] for a, b in pairs])[keep])
 
 
+def from_entries(dim, rows, cols, vals):
+    """One matrix from (row, col, value) entries: duplicates coalesced,
+    stored as the upper triangle."""
+    return SparseSymMatrix.from_shared_entries(dim, rows, cols, vals)[0]
+
+
+def to_dense(mat):
+    return mat.to_csr().toarray()
+
+
+def dump(mat, path):
+    """Coordinate text format `i j value` (upper triangle, 17 digits)."""
+    with open(path, "w") as handle:
+        for i, j, v in zip(mat.rows, mat.cols, mat.vals):
+            handle.write(f"{i} {j} {v:.17g}\n")
+
+
+def export_text(mesh):
+    """Plain-text listing of a mesh: `v x1 [x2]`, `c i j [k]`, `b i` records."""
+    lines = ["v " + " ".join(f"{x:.17g}" for x in vert) for vert in mesh.vertices]
+    lines += ["c " + " ".join(str(i) for i in cell) for cell in mesh.cells]
+    lines += [f"b {idx}" for idx in np.nonzero(mesh.boundary)[0]]
+    return "\n".join(lines) + "\n"
+
+
 def quadrature_context(chart, mesh, result):
     return EigenfunctionQuadrature(chart, mesh, result.vertex_values)
+
+
+def u_at_quadrature(quad, i):
+    """Eigenfunction i at the quadrature points, flat."""
+    return quad.interpolate(quad.vertex_values[i])
 
 
 def _reference_values(quad, vertex_field):

@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import AmbientCoordinate, diag_tensor, linear_eta, weighted_volume
-from spectralab.assembly import EigenfunctionQuadrature, SparseSymMatrix, assemble
+from helpers import (
+    AmbientCoordinate,
+    diag_tensor,
+    dump,
+    from_entries,
+    linear_eta,
+    to_dense,
+    weighted_volume,
+)
+from spectralab import assembly
+from spectralab.assembly import EigenfunctionQuadrature, assemble
 from spectralab.errors import MeshTooCoarseError, TensorError
 from spectralab.eigensolve import solve_dense
 from spectralab.geometry import (
@@ -36,8 +46,8 @@ def test_interval_textbook_matrices():
     h = 0.25
     expected_a = (1 / h) * (2 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1))
     expected_b = (h / 6) * (4 * np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1))
-    assert np.allclose(a_mat.to_dense(), expected_a, atol=1e-14)
-    assert np.allclose(b_mat.to_dense(), expected_b, atol=1e-14)
+    assert np.allclose(to_dense(a_mat), expected_a, atol=1e-14)
+    assert np.allclose(to_dense(b_mat), expected_b, atol=1e-14)
     assert list(dof_map) == [-1, 0, 1, 2, -1]
 
 
@@ -47,11 +57,11 @@ def test_storage_is_upper_triangular_and_symmetric():
     a_mat, b_mat, _ = assemble(chart, mesh)
     for mat in (a_mat, b_mat):
         assert np.all(mat.rows <= mat.cols)
-        dense = mat.to_dense()
+        dense = to_dense(mat)
         assert np.array_equal(dense, dense.T)
     # both matrices of the pencil are positive definite on desk sizes
-    assert np.linalg.eigvalsh(a_mat.to_dense()).min() > 0
-    assert np.linalg.eigvalsh(b_mat.to_dense()).min() > 0
+    assert np.linalg.eigvalsh(to_dense(a_mat)).min() > 0
+    assert np.linalg.eigvalsh(to_dense(b_mat)).min() > 0
 
 
 def test_assembly_is_deterministic():
@@ -142,11 +152,65 @@ def test_dirichlet_form_identity():
         assert quotient == pytest.approx(lam, rel=1e-12)
 
 
-def test_indefinite_tensor_names_cell():
+def _expression_chart():
+    return make_chart("cylinder", (0.5,), eta=make_eta("expr", expr="0.3*sin(x)*y", dim=2),
+                      tensor=make_tensor("expr", expr="1 + 0.2*y; 0.1*x; 1.5", dim=2))
+
+
+def _interval_chart():
+    return make_chart("flat_interval", eta=linear_eta(2.0),
+                      tensor=make_tensor("expr", expr="1 + x*x", dim=1))
+
+
+@pytest.mark.parametrize("chart_fn,resolution", [(_expression_chart, 12), (_interval_chart, 100)],
+                         ids=["cylinder_expr", "interval"])
+def test_assembly_independent_of_block_size(monkeypatch, chart_fn, resolution):
+    chart = chart_fn()
+    mesh = build_structured(chart.domain, resolution)
+    cells_per_block = 7
+    assert mesh.num_cells > 5 * cells_per_block and mesh.num_cells % cells_per_block
+    budget = cells_per_block * mesh.cells.shape[1] * assembly._point_bytes(chart)
+    results = []
+    for block_bytes in (budget, 1 << 40):  # many blocks with a ragged last one, then one
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
+        results.append(assemble(chart, mesh))
+    (a_blocked, b_blocked, map_blocked), (a_whole, b_whole, map_whole) = results
+    assert np.array_equal(map_blocked, map_whole)
+    for blocked, whole in ((a_blocked, a_whole), (b_blocked, b_whole)):
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+def test_indefinite_tensor_names_cell(monkeypatch):
     chart = make_chart("flat_rectangle", tensor=diag_tensor(1.0, -2.0))
     mesh = build_structured(chart.domain, 4)
     with pytest.raises(TensorError, match="cell"):
         assemble(chart, mesh)
+    # indefinite where x > 0.7 only: the first bad cell (80 of 128, as the
+    # whole-mesh pass reports it) lies many blocks into the mesh
+    chart = make_chart("flat_rectangle", tensor=make_tensor("expr", expr="1; 0; 0.7 - x", dim=2))
+    mesh = build_structured(chart.domain, 8)
+    for cells_per_block in (3, mesh.num_cells):
+        monkeypatch.setattr(assembly, "BLOCK_BYTES",
+                            cells_per_block * 3 * assembly._point_bytes(chart))
+        with pytest.raises(TensorError, match=r"of cell 80$"):
+            assemble(chart, mesh)
+
+
+def test_assembly_peak_memory_bounded_by_block_budget(monkeypatch):
+    # the per-point fields live one cell block at a time, so what stays is
+    # the budget plus a few copies of the entries, the size of the output
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", 1 << 20)
+    chart = make_chart("stereographic_sphere", (1.0,), eta=make_eta("radial_quadratic", (0.2,)))
+    mesh = build_structured(chart.domain, 48)
+    tracemalloc.start()
+    try:
+        a_mat, b_mat, _ = assemble(chart, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(x.nbytes for x in (a_mat.rows, a_mat.cols, a_mat.vals, b_mat.vals))
+    assert peak < assembly.BLOCK_BYTES + 6 * output
 
 
 def test_all_boundary_mesh_rejected():
@@ -162,7 +226,7 @@ def test_matrix_dump_format(tmp_path):
     mesh = build_structured(chart.domain, 4)
     a_mat, _, _ = assemble(chart, mesh)
     path = tmp_path / "a.txt"
-    a_mat.dump(path)
+    dump(a_mat, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == len(a_mat.vals)
     i, j, v = lines[0].split()
@@ -171,9 +235,8 @@ def test_matrix_dump_format(tmp_path):
 
 
 def test_from_entries_coalesces_duplicates():
-    mat = SparseSymMatrix.from_entries(3, [0, 1, 0, 2], [1, 0, 1, 2],
-                                       [1.0, 2.0, 3.0, 4.0])
-    dense = mat.to_dense()
+    mat = from_entries(3, [0, 1, 0, 2], [1, 0, 1, 2], [1.0, 2.0, 3.0, 4.0])
+    dense = to_dense(mat)
     assert dense[0, 1] == 6.0 and dense[1, 0] == 6.0
     assert dense[2, 2] == 4.0
 

@@ -14,6 +14,7 @@ from helpers import (
     reference_proposition_integrals,
     reference_tensor_integrals,
     solve_chart,
+    u_at_quadrature,
 )
 from spectralab import assembly
 from spectralab.bounds import (
@@ -379,7 +380,7 @@ def test_proposition_square_first_coordinate():
     report = check_proposition_testfunction(quad, result.eigenvalues, 0, 3)
     assert report.holds and report.name == "proposition_testfunction(h=x1)"
     # with |grad h| = 1 the weight integrals reproduce the normalization
-    weights = [quad.integrate(quad.u_at_quadrature(i) ** 2) for i in range(3)]
+    weights = [quad.integrate(u_at_quadrature(quad, i) ** 2) for i in range(3)]
     assert np.allclose(weights, 1.0, atol=1e-6)
 
 

@@ -250,12 +250,21 @@ def test_oversized_scenario_rejected_before_allocation(tmp_path, key, line):
     ("domain.kind = disk\ndomain.center = 0.5", "error: disk center needs 2 coordinates", False),
     ("domain.kind = disk\ndomain.center = 0 0 0", "error: disk center needs 2 coordinates",
      False),
+    # malformed domains are load-time errors too
+    ("domain.kind = disk\ndomain.radius = 0", "error: disk radius must be positive", False),
+    ("domain.kind = disk\ndomain.radius = -0.5", "error: disk radius must be positive", False),
+    ("domain.kind = rectangle\ndomain.bounds = 0 1 0.5 0.5",
+     "error: empty rectangle extent (0.5, 0.5)", False),
+    ("domain.kind = rectangle\ndomain.bounds = 1 0 0 1",
+     "error: empty rectangle extent (1.0, 0.0)", False),
     # a broadcast ValueError on a 2d chart before the check
     ("eta.kind = radial_quadratic\neta.params = 1 0 0 0",
      "ParameterError: radial_quadratic takes 1 or 3 parameters, got 4", True),
     # silently ignored before the check
     ("chart.params = 1 2", "ParameterError: flat_rectangle takes 0 parameters, got 2", True),
-], ids=["disk_center_1", "disk_center_3", "radial_quadratic_4", "flat_rectangle_2"])
+], ids=["disk_center_1", "disk_center_3", "disk_radius_0", "disk_radius_negative",
+        "rectangle_equal_bounds", "rectangle_inverted_bounds", "radial_quadratic_4",
+        "flat_rectangle_2"])
 def test_wrong_parameter_count_exits_two_without_traceback(tmp_path, lines, error, manifest):
     text = SMALL_CONFIG.replace("eta.kind = zero\n", "") + lines + "\n"
     cfg = _write(tmp_path, "bad.cfg", text)
@@ -268,9 +277,11 @@ def test_wrong_parameter_count_exits_two_without_traceback(tmp_path, lines, erro
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(error)
     # a count checked when the chart is built leaves an incomplete MANIFEST;
-    # a disk is checked when the scenario is read, before there is a run
+    # a domain is checked when the scenario is read, before there is a run
+    # or an output directory
     path = tmp_path / "out" / "smoke" / "MANIFEST"
     assert path.exists() == manifest
+    assert (tmp_path / "out").exists() == manifest
     if manifest:
         assert "status incomplete" in path.read_text()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from helpers import export_text
 from spectralab.errors import ParameterError
 from spectralab.geometry import Disk, Rectangle
 from spectralab.meshing import build_structured, vertex_count
@@ -94,7 +95,7 @@ def test_resolution_below_two_rejected():
 
 def test_export_text_roundtrip_format():
     mesh = build_structured(UNIT_INTERVAL, 2)
-    text = mesh.export_text()
+    text = export_text(mesh)
     lines = text.strip().splitlines()
     assert lines[0].startswith("v ")
     assert sum(1 for ln in lines if ln.startswith("v ")) == 3
