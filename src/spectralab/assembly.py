@@ -195,111 +195,129 @@ def _element_entries(chart, mesh, cells, upper):
 
 
 class EigenfunctionQuadrature:
-    """Element-quadrature context for integrals of discrete eigenfunctions.
+    """Integrals of discrete eigenfunctions under element quadrature.
 
     Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays.
-    Pointwise quantities at the quadrature points are sparse per-point
-    operators (one row per point, one entry per node of its cell) applied
-    to blocks of eigenfunctions: the P1 value, and a direction dotted with
-    the P1 gradient.  Every integral stays a dm-weighted sum of per-point
-    values.  Shared by the test-function and tensor-theorem checks, which
-    both read the terms of the identity
+    Shared by the test-function and tensor-theorem checks, which both read
+    the terms of the identity
     ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
     (:func:`~spectralab.geometry.immersion_operator_terms`): the tensor
     bound at the quadrature points, the test functions ``x^a`` as
-    ``vertex_lx``.  Both are computed on first use and kept, as are the
-    integrals of the integrated tensor bound.
+    ``vertex_lx``.  On construction, one pass over contiguous cell blocks
+    evaluates every integral of both checks for all eigenfunctions.  Each
+    block evaluates its per-point fields and builds sparse per-point
+    operators (one row per point, one entry per node of its cell: the P1
+    value, a direction dotted with the P1 gradient, and the test function's
+    ``R``), applies them to one ``(V, k)`` copy of the eigenfunctions and
+    adds its dm-weighted sums to the results.  A block holds about
+    :data:`BLOCK_BYTES` of per-point values, the eigenfunction values at its
+    points included; no field or operator over the whole mesh is held.
     """
 
     def __init__(self, chart, mesh, vertex_values):
         self.chart = chart
         self.mesh = mesh
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
-        qpts, qw, grads, phi = _cell_geometry(mesh)
-        self.ncells, self.nq = qw.shape
-        self.qpts_flat = qpts.reshape(-1, mesh.dim)
-        self.g, self.ginv, self.tensor, self.k = chart_fields(chart, self.qpts_flat)
-        w = _dm_weight(chart, self.g, self.qpts_flat)
-        self.dm_weights = (w.reshape(self.ncells, self.nq) * qw).ravel()
-        self.grads = grads
-        self.phi = phi.reshape(-1, phi.shape[-1])  # P1 values per point, (P, nodes)
-
-    def integrate(self, values_flat):
-        """Integral of a quadrature-point sampled function against dm."""
-        return float((self.dm_weights * values_flat).sum())
-
-    def point_operator(self, coeffs):
-        """CSR operator (points x vertices) from per-point local coefficients
-        of shape ``(P, nodes)``, placed at the vertices of the point's cell."""
-        points, nodes = coeffs.shape
-        cols = np.repeat(self.mesh.cells, self.nq, axis=0).ravel()
-        return sp.csr_matrix((coeffs.ravel(), cols, np.arange(0, points * nodes + 1, nodes)),
-                             shape=(points, self.mesh.num_vertices))
-
-    def directional(self, vectors):
-        """Local coefficients of ``vec_p . grad`` for chart vectors ``(P, n)``."""
-        vectors = vectors.reshape(self.ncells, self.nq, -1)
-        return contract("cqi,cai->cqa", vectors, self.grads).reshape(-1, self.grads.shape[1])
+        self._sums, self._t_hh_max = self._integrate()
 
     @cached_property
     def vertex_lx(self):
         """``L x^a`` at the vertices, shape ``(m, V)``: the operator applied
         to the ambient coordinates in closed form,
-        ``frames^T (K^ij alpha_ij) + dx(tr(nabla T) - K d eta)``."""
-        verts = self.mesh.vertices
-        g, ginv, t, k = chart_fields(self.chart, verts)
-        frames, normal, tangential = immersion_operator_terms(self.chart, verts, g, ginv, t, k)
-        jac = self.chart.immersion.jacobian(verts)
-        return (contract("pk,pka->pa", normal, frames) + contract("pai,pi->pa", jac, tangential)).T
-
-    @cached_property
-    def value_operator(self):
-        """The P1 interpolation operator Phi."""
-        return self.point_operator(self.phi)
-
-    def interpolate(self, vertex_field):
-        """P1 interpolation of a vertex field to quadrature points, flat."""
-        return self.value_operator @ np.asarray(vertex_field, dtype=float)
-
-    def column_integrals(self, operators, terms, k):
-        """Integrals ``sum_p w_p (A_a u_i)_p (A_b u_i)_p`` for ``i < k``, one row
-        per term ``(w, a, b)`` with ``w`` the per-point weights and ``a, b``
-        indices into ``operators``.  Eigenfunctions go through the operators
-        in contiguous blocks sized by :data:`BLOCK_BYTES`."""
-        points = self.qpts_flat.shape[0]
-        per_block = max(1, BLOCK_BYTES // (8 * points * (len(operators) + 1)))
-        out = np.empty((len(terms), k))
-        for lo in range(0, k, per_block):
-            hi = min(lo + per_block, k)
-            block = np.ascontiguousarray(self.vertex_values[lo:hi].T)
-            values = [op @ block for op in operators]
-            for row, (weights, a, b) in enumerate(terms):
-                out[row, lo:hi] = weights @ (values[a] * values[b])
+        ``frames^T (K^ij alpha_ij) + dx(tr(nabla T) - K d eta)``, evaluated
+        over blocks of vertices."""
+        chart, verts = self.chart, self.mesh.vertices
+        out = np.empty((chart.dim_m, len(verts)))
+        step = max(1, BLOCK_BYTES // _check_point_bytes(chart, 0))
+        for lo in range(0, len(verts), step):
+            pts = verts[lo:lo + step]
+            g, ginv, t, k = chart_fields(chart, pts)
+            frames, normal, tangential = immersion_operator_terms(chart, pts, g, ginv, t, k)
+            jac = chart.immersion.jacobian(pts)
+            out[:, lo:lo + step] = (contract("pk,pka->pa", normal, frames)
+                                    + contract("pai,pi->pa", jac, tangential)).T
         return out
 
-    @cached_property
-    def tensor_fields(self):
-        """Pointwise fields of the integrated tensor bound at quadrature points:
-        ``(tr_g T, |tr(alpha o T)|^2 + |V|^2, V)`` with the tangential vector
-        ``V = tr(nabla T) - T(grad eta)`` in chart components."""
-        tr_t = np.einsum("pij,pji->p", self.ginv, self.tensor)
-        _, normal, tangential = immersion_operator_terms(
-            self.chart, self.qpts_flat, self.g, self.ginv, self.tensor, self.k)
-        tangential_sq = contract("pab,pa,pb->p", self.g, tangential, tangential)
-        return tr_t, (normal ** 2).sum(axis=1) + tangential_sq, tangential
-
-    @cached_property
-    def _tensor_integrals(self):
-        tr_t, square_field, tangential = self.tensor_fields
-        # g(V, K grad u) = w . grad u with w = V g K
-        w = contract("pa,pab,pbj->pj", tangential, self.g, self.k)
-        dm = self.dm_weights
-        operators = [self.value_operator, self.point_operator(self.directional(w))]
-        terms = [(dm * tr_t, 0, 0), (dm * square_field, 0, 0), (dm, 0, 1)]
-        return self.column_integrals(operators, terms, self.vertex_values.shape[0]).T
+    def _integrate(self):
+        """``(sums, t_hh_max)``: the rows of :func:`_block_integrals` summed
+        over cell blocks, and the largest ``|T(grad h, grad h)|`` per axis."""
+        values = np.ascontiguousarray(self.vertex_values.T)  # the one (V, k) copy
+        cell_bytes = self.mesh.cells.shape[1] * _check_point_bytes(self.chart, values.shape[1])
+        step = max(1, BLOCK_BYTES // cell_bytes)
+        sums = t_hh_max = 0.0
+        for lo in range(0, self.mesh.num_cells, step):
+            block_sums, block_max = _block_integrals(
+                self.chart, self.mesh, slice(lo, lo + step), values, self.vertex_lx)
+            sums += block_sums
+            t_hh_max = np.maximum(t_hh_max, block_max)
+        return sums, t_hh_max
 
     def tensor_integrals(self, k):
         """Integrals ``(u_i^2 tr T, u_i^2 square field, u_i g(V, T grad u_i))``
         against dm for the first ``k`` eigenfunctions, as rows of a ``(k, 3)``
-        array; all rows are computed on first use."""
-        return self._tensor_integrals[:k]
+        array, with the square field ``|tr(alpha o T)|^2 + |V|^2`` and the
+        tangential vector ``V = tr(nabla T) - T(grad eta)``."""
+        return self._sums[[0, 1, 2 + self.chart.dim_m], :k].T
+
+    def proposition_integrals(self, axis, k):
+        """Test-function integrals for ``h = x^axis`` and the first ``k``
+        eigenfunctions: ``(weights, rayleigh, degenerate)`` with
+        ``weights[i] = int u_i^2 T(grad h, grad h) dm``,
+        ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``, and
+        whether ``T(grad h, grad h)`` vanishes at every quadrature point."""
+        rows = self._sums[[2 + axis, 3 + self.chart.dim_m + axis], :k]
+        return rows[0], rows[1], bool(self._t_hh_max[axis] <= 1e-14)
+
+
+def _check_point_bytes(chart, k):
+    """Bytes per point a block of the check integrals holds at once: the
+    fields and immersion terms, the per-point operators, and three values
+    of each of the ``k`` eigenfunctions."""
+    m, n = chart.dim_m, chart.dim_n
+    return 8 * (3 * k + m * n * n + 4 * n ** 3 + 2 * m * n + 6 * n * n + 20)
+
+
+def _block_integrals(chart, mesh, cells, values, lx):
+    """The check integrals over a slice of cells, for the eigenfunctions as
+    the columns of ``values`` ``(V, k)``, and ``max |T(grad h, grad h)|`` per
+    ambient axis.  Integral rows, each a dm-weighted sum: ``u^2 tr_g T``,
+    ``u^2`` times the square field, ``u^2 T(grad h, grad h)`` for each axis
+    ``h = x^a``, ``u g(V, T grad u)``, then ``(R u)^2`` for each axis with
+    ``R = Lh Phi + 2 (K grad h) . grad`` and ``Lh`` the P1 interpolant of
+    ``lx[a]``."""
+    qpts, qw, grads, phi = _cell_geometry(mesh, cells)
+    ncells, nq = qw.shape
+    flat = qpts.reshape(-1, mesh.dim)
+    g, ginv, t, k = chart_fields(chart, flat)
+    dm = (_dm_weight(chart, g, flat).reshape(ncells, nq) * qw).ravel()
+    _, normal, tangential = immersion_operator_terms(chart, flat, g, ginv, t, k)
+    jac = chart.immersion.jacobian(flat)
+    phi = phi.reshape(len(flat), -1)
+    cols = np.repeat(mesh.cells[cells].astype(np.int32), nq, axis=0).ravel()
+    rows = np.arange(0, cols.size + 1, phi.shape[1], dtype=np.int32)
+
+    def operator(coeffs):  # points x vertices, coefficients at the cell's vertices
+        return sp.csr_matrix((coeffs.ravel(), cols, rows), shape=(len(flat), len(values)))
+
+    def directional(vectors):  # coefficients of vec_p . grad
+        return contract("cqi,cai->cqa", vectors.reshape(ncells, nq, -1), grads).reshape(phi.shape)
+
+    m = chart.dim_m
+    sums = np.empty((3 + 2 * m, values.shape[1]))
+    value_op = operator(phi)
+    u = value_op @ values
+    # g(V, K grad u) = w . grad u with w = V g K
+    w = contract("pa,pab,pbj->pj", tangential, g, k)
+    sums[2 + m] = dm @ (u * (operator(directional(w)) @ values))
+    u_fields = [np.einsum("pij,pji->p", ginv, t),
+                (normal ** 2).sum(axis=1) + contract("pab,pa,pb->p", g, tangential, tangential)]
+    for axis in range(m):
+        grad_h = jac[:, axis, :]
+        k_grad_h = contract("pij,pj->pi", k, grad_h)
+        u_fields.append(contract("pi,pi->p", grad_h, k_grad_h))
+        r_u = operator((value_op @ lx[axis])[:, None] * phi + 2.0 * directional(k_grad_h)) @ values
+        sums[3 + m + axis] = dm @ (r_u * r_u)
+    u *= u
+    for row, field in enumerate(u_fields):
+        sums[row] = (dm * field) @ u
+    return sums, np.abs(u_fields[2:]).max(axis=1)

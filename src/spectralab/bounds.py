@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShiftPositivityError
-from .geometry import contract, omega_n
+from .geometry import omega_n
 
 CLOSED_FORM_SLACK = 1e-9
 COMPUTED_SLACK = 1e-6
@@ -356,30 +356,6 @@ def lemma_c_bound(spec, n, c, k, slack=None):
 # test-function inequality on computed eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _proposition_integrals(quad, axis, k_top):
-    """Per-eigenfunction integrals of the test-function inequality for the
-    ambient coordinate ``h = x^axis``.
-
-    Returns (weights, rayleigh, degenerate) with
-    ``weights[i] = int u_i^2 T(grad h, grad h) dm`` and
-    ``rayleigh[i] = int (u_i Lh + 2 T(grad h, grad u_i))^2 dm``, from the
-    per-point operators ``Phi`` and ``R = Lh Phi + 2 (K grad h) . grad``.
-    ``grad h`` is a row of the immersion's Jacobian and ``Lh`` the closed
-    form ``quad.vertex_lx[axis]``, P1-interpolated.
-    """
-    grad_h = quad.chart.immersion.jacobian(quad.qpts_flat)[:, axis, :]
-    k_grad_h = contract("pij,pj->pi", quad.k, grad_h)
-    t_hh = contract("pi,pi->p", grad_h, k_grad_h)
-    lh_q = quad.interpolate(quad.vertex_lx[axis])
-    rayleigh_op = quad.point_operator(lh_q[:, None] * quad.phi
-                                      + 2.0 * quad.directional(k_grad_h))
-    dm = quad.dm_weights
-    weights, rayleigh = quad.column_integrals([quad.value_operator, rayleigh_op],
-                                              [(dm * t_hh, 0, 0), (dm, 1, 1)], k_top)
-    degenerate = float(np.abs(t_hh).max()) <= 1e-14
-    return weights, rayleigh, degenerate
-
-
 PROPOSITION_MESH_SLACK = 8.0
 
 
@@ -404,7 +380,7 @@ def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
     k_top = max(k_list)
     if k_top + 1 > len(eigenvalues) or k_top > quad.vertex_values.shape[0]:
         raise ParameterError("need eigenpairs through index k+1")
-    weights, rayleigh, degenerate = _proposition_integrals(quad, axis, k_top)
+    weights, rayleigh, degenerate = quad.proposition_integrals(axis, k_top)
     note = ("degenerate test function: T(grad h, grad h) vanishes everywhere"
             if degenerate else "")
     reports = []

@@ -149,11 +149,14 @@ def _fresh_vector(rng, qmat, b_csr, deflate):
 
 def _ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, qmat):
     """Ascending Ritz pairs and their residuals from the tridiagonal
-    eigenvector columns ``s_cols`` and eigenvalues ``thetas``."""
+    eigenvector columns ``s_cols`` and eigenvalues ``thetas``.  Descending
+    ``thetas`` give ascending values, so the vectors are only permuted (and
+    copied) when they come in another order."""
     vecs = s_cols.T @ qmat
     lams = sigma + 1.0 / thetas
     idx = np.argsort(lams)
-    lams, vecs = lams[idx], vecs[idx]
+    if np.any(idx != np.arange(len(idx))):
+        lams, vecs = lams[idx], vecs[idx]
     return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
 
 
@@ -324,9 +327,10 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
         if len(lams):
             best_residuals = res
             for lam, vec, ok in zip(lams, vecs, res <= tol):
-                if ok:
+                if ok:  # B-normalized in place: the pool holds rows of the sweep's block
+                    vec /= np.sqrt(np.abs(vec @ (b_csr @ vec)))
                     pool_lams.append(float(lam))
-                    pool_vecs.append(vec / np.sqrt(np.abs(vec @ (b_csr @ vec))))
+                    pool_vecs.append(vec)
 
     if want == 0:
         order = np.argsort(pool_lams)[:k]

@@ -18,6 +18,8 @@ from spectralab.geometry import (
     Chart,
     Rectangle,
     _inv_spd,
+    chart_fields,
+    immersion_operator_terms,
     make_chart,
     make_eta,
     make_tensor,
@@ -125,52 +127,70 @@ def quadrature_context(chart, mesh, result):
     return EigenfunctionQuadrature(chart, mesh, result.vertex_values)
 
 
-def u_at_quadrature(quad, i):
-    """Eigenfunction i at the quadrature points, flat."""
-    return quad.interpolate(quad.vertex_values[i])
+class QuadratureFields:
+    """Chart fields, dm weights and P1 data at every quadrature point of a
+    mesh at once, from the chart and the mesh: what the per-eigenfunction
+    oracles integrate against."""
 
+    def __init__(self, chart, mesh):
+        qpts, qw, self.grads, phi = _cell_geometry(mesh)
+        self.ncells, self.nq = qw.shape
+        self.cells = mesh.cells
+        self.points = qpts.reshape(-1, mesh.dim)
+        self.phi = np.asarray(phi)
+        self.g, self.ginv, self.tensor, self.k = chart_fields(chart, self.points)
+        self.dm_weights = (_dm_weight(chart, self.g, self.points).reshape(self.ncells, self.nq)
+                           * qw).ravel()
 
-def _reference_values(quad, vertex_field):
-    """P1 values of a vertex field at the quadrature points, cell by cell."""
-    phi = quad.phi.reshape(quad.ncells, quad.nq, -1)
-    return np.einsum("cqa,ca->cq", phi, np.asarray(vertex_field)[quad.mesh.cells]).ravel()
+    def integrate(self, values_flat):
+        """Integral of a quadrature-point sampled function against dm."""
+        return float((self.dm_weights * values_flat).sum())
 
+    def values(self, vertex_field):
+        """P1 values of a vertex field at the quadrature points, cell by cell."""
+        return np.einsum("cqa,ca->cq", self.phi, np.asarray(vertex_field)[self.cells]).ravel()
 
-def _reference_gradient(quad, i):
-    """Chart gradient of eigenfunction i, repeated at each quadrature point."""
-    nodal = quad.vertex_values[i][quad.mesh.cells]
-    return np.repeat(np.einsum("cai,ca->ci", quad.grads, nodal), quad.nq, axis=0)
+    def gradient(self, vertex_field):
+        """Chart gradient of a vertex field, repeated at each quadrature point."""
+        nodal = np.asarray(vertex_field)[self.cells]
+        return np.repeat(np.einsum("cai,ca->ci", self.grads, nodal), self.nq, axis=0)
 
 
 def reference_proposition_integrals(quad, axis, k_top):
     """Test-function integrals for ``h = x^axis`` one eigenfunction at a
     time, from the same vertex ``L x``: the oracle for
-    ``bounds._proposition_integrals``."""
-    grad_h = AmbientCoordinate(quad.chart, axis).gradient(quad.qpts_flat)
-    t_hh = np.einsum("pij,pi,pj->p", quad.k, grad_h, grad_h)
-    lh_q = _reference_values(quad, quad.vertex_lx[axis])
+    ``EigenfunctionQuadrature.proposition_integrals``."""
+    fields = QuadratureFields(quad.chart, quad.mesh)
+    grad_h = AmbientCoordinate(quad.chart, axis).gradient(fields.points)
+    t_hh = np.einsum("pij,pi,pj->p", fields.k, grad_h, grad_h)
+    lh_q = fields.values(quad.vertex_lx[axis])
     weights = np.empty(k_top)
     rayleigh = np.empty(k_top)
     for i in range(k_top):
-        u_q = _reference_values(quad, quad.vertex_values[i])
-        t_h_u = np.einsum("pij,pi,pj->p", quad.k, grad_h, _reference_gradient(quad, i))
-        weights[i] = quad.integrate(u_q ** 2 * t_hh)
-        rayleigh[i] = quad.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
+        u_q = fields.values(quad.vertex_values[i])
+        t_h_u = np.einsum("pij,pi,pj->p", fields.k, grad_h, fields.gradient(quad.vertex_values[i]))
+        weights[i] = fields.integrate(u_q ** 2 * t_hh)
+        rayleigh[i] = fields.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
     return weights, rayleigh
 
 
 def reference_tensor_integrals(quad, k):
     """Integrated tensor-bound integrals one eigenfunction at a time, as a
     ``(k, 3)`` array: the oracle for ``EigenfunctionQuadrature.tensor_integrals``."""
-    tr_t, square_field, tangential = quad.tensor_fields
+    fields = QuadratureFields(quad.chart, quad.mesh)
+    g, k_field = fields.g, fields.k
+    tr_t = np.einsum("pij,pji->p", fields.ginv, fields.tensor)
+    _, normal, tangential = immersion_operator_terms(
+        quad.chart, fields.points, g, fields.ginv, fields.tensor, k_field)
+    square_field = (normal ** 2).sum(axis=1) + np.einsum("pab,pa,pb->p", g, tangential,
+                                                         tangential)
     rows = []
     for i in range(k):
-        u_q = _reference_values(quad, quad.vertex_values[i])
-        t_grad_u = np.einsum("pij,pj->pi", quad.k, _reference_gradient(quad, i))
-        rows.append((quad.integrate(u_q ** 2 * tr_t),
-                     quad.integrate(u_q ** 2 * square_field),
-                     quad.integrate(u_q * np.einsum("pab,pa,pb->p", quad.g, tangential,
-                                                    t_grad_u))))
+        u_q = fields.values(quad.vertex_values[i])
+        t_grad_u = np.einsum("pij,pj->pi", k_field, fields.gradient(quad.vertex_values[i]))
+        rows.append((fields.integrate(u_q ** 2 * tr_t),
+                     fields.integrate(u_q ** 2 * square_field),
+                     fields.integrate(u_q * np.einsum("pab,pa,pb->p", g, tangential, t_grad_u))))
     return np.array(rows)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    QuadratureFields,
     diag_tensor,
     flat_square_in_r3,
     pipeline,
@@ -14,12 +16,10 @@ from helpers import (
     reference_proposition_integrals,
     reference_tensor_integrals,
     solve_chart,
-    u_at_quadrature,
 )
 from spectralab import assembly
 from spectralab.bounds import (
     Spectrum,
-    _proposition_integrals,
     check_cheng_yang_type,
     check_corollary_trio,
     check_polya_type,
@@ -380,7 +380,8 @@ def test_proposition_square_first_coordinate():
     report = check_proposition_testfunction(quad, result.eigenvalues, 0, 3)
     assert report.holds and report.name == "proposition_testfunction(h=x1)"
     # with |grad h| = 1 the weight integrals reproduce the normalization
-    weights = [quad.integrate(u_at_quadrature(quad, i) ** 2) for i in range(3)]
+    fields = QuadratureFields(chart, mesh)
+    weights = [fields.integrate(fields.values(result.vertex_values[i]) ** 2) for i in range(3)]
     assert np.allclose(weights, 1.0, atol=1e-6)
 
 
@@ -444,7 +445,7 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
     k = quad.vertex_values.shape[0]
     _assert_columns_close(quad.tensor_integrals(k), reference_tensor_integrals(quad, k), 1e-12)
     for axis in range(chart.dim_m):
-        weights, rayleigh, _ = _proposition_integrals(quad, axis, k)
+        weights, rayleigh, _ = quad.proposition_integrals(axis, k)
         ref_weights, ref_rayleigh = reference_proposition_integrals(quad, axis, k)
         _assert_columns_close(np.stack([weights, rayleigh], axis=1),
                               np.stack([ref_weights, ref_rayleigh], axis=1), 1e-12)
@@ -453,15 +454,38 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
 def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
     chart, result, first = _integral_context("weighted_sphere")
     k = result.vertex_values.shape[0]
+    cell_bytes = first.mesh.cells.shape[1] * assembly._check_point_bytes(chart, k)
     results = []
-    for budget in (1, 1 << 40):  # one eigenfunction per block, then one block
-        monkeypatch.setattr(assembly, "BLOCK_BYTES", budget)
+    # blocks of 7 and 400 cells, each with a ragged last block, then one block
+    for cells_per_block in (7, 400, None):
+        assert cells_per_block is None or first.mesh.num_cells % cells_per_block
+        monkeypatch.setattr(assembly, "BLOCK_BYTES",
+                            1 << 40 if cells_per_block is None else cells_per_block * cell_bytes)
         quad = quadrature_context(chart, first.mesh, result)
         results.append([quad.tensor_integrals(k)]
-                       + [np.stack(_proposition_integrals(quad, a, k)[:2], axis=1)
+                       + [np.stack(quad.proposition_integrals(a, k)[:2], axis=1)
                           for a in range(chart.dim_m)])
-    for blocked, whole in zip(*results):
-        _assert_columns_close(blocked, whole, 1e-14)
+    for blocked in results[:-1]:
+        for part, whole in zip(blocked, results[-1]):
+            _assert_columns_close(part, whole, 1e-14)
+
+
+def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):
+    # fields and operators live one cell block at a time, so what stays is
+    # the budget plus the one (V, k) copy of the eigenfunctions
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", 1 << 20)
+    chart, mesh, _, result = pipeline("stereographic_sphere", params=(1.0,), resolution=32,
+                                      k=20, eta=radial_eta(0.2))
+    tracemalloc.start()
+    try:
+        quad = quadrature_context(chart, mesh, result)
+        quad.tensor_integrals(20)
+        for axis in range(chart.dim_m):
+            quad.proposition_integrals(axis, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < assembly.BLOCK_BYTES + 2 * result.vertex_values.nbytes
 
 
 def test_integrated_tensor_report_independent_of_call_order():

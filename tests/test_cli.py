@@ -1,13 +1,23 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralab import reporting
+from spectralab.assembly import _cell_geometry
 from spectralab.cli import main
-from spectralab.errors import ConfigError
+from spectralab.errors import ConfigError, SpectralabError
+from spectralab.expressions import compile_expression
+from spectralab.geometry import make_chart
+from spectralab.meshing import build_structured
 from spectralab.reporting import catalog_text, parse_config, run_scenario
 
 SMALL_CONFIG = """
@@ -325,3 +335,56 @@ def test_parallel_flag_is_a_usage_error(tmp_path, capsys):
         main(["run", cfg, "--parallel"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
+
+# long expressions: well-formed ones from the grammar, joined into sums of
+# many terms, and token soup that is mostly malformed
+_ATOMS = st.sampled_from(["x", "y", "u", "v", "pi", "e", "0", "1", "2.5", ".5", "1e3", "1e400"])
+_FORMED = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+    st.tuples(st.sampled_from(["sin", "cos", "cosh", "sinh", "exp", "log", "sqrt"]),
+              inner).map(lambda call: f"{call[0]}({call[1]})"),
+    inner.map(lambda node: f"({node})"),
+    inner.map(lambda node: f"-{node}")), max_leaves=60)
+_SOUP = st.lists(st.sampled_from(["x", "y", "1", "2", ".", "e", "+", "-", "*", "/", "^", "(",
+                                  ")", "sin", "sqrt", "log", " "]),
+                 min_size=100, max_size=400).map("".join)
+LONG_EXPRESSIONS = st.one_of(st.lists(_FORMED, min_size=8, max_size=30).map(" + ".join), _SOUP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=LONG_EXPRESSIONS, key=st.sampled_from(["eta", "tensor"]))
+def test_long_expression_runs_or_exits_two_with_one_error_line(text, key):
+    # as the weight, or inside the first entry of an SPD tensor
+    fields = {"eta": f"eta.kind = expr\neta.expr = {text}",
+              "tensor": f"tensor.kind = expr\ntensor.expr = 1 + ({text})^2; 0; 1"}[key]
+    config = SMALL_CONFIG.replace("eta.kind = zero\ntensor.kind = metric", fields)
+    config = config.replace("mesh.resolutions = 4 8 16", "mesh.resolutions = 4")
+    config = config.replace("eigen.k_max = 6", "eigen.k_max = 3")
+    # points where the run evaluates it for sure: the weight at the
+    # quadrature points of the mesh, the tensor on the constants grid
+    domain = make_chart("flat_rectangle").domain
+    points = (_cell_geometry(build_structured(domain, 4))[0].reshape(-1, 2) if key == "eta"
+              else domain.sample_grid(16))
+    try:
+        compile_expression(text, 2)(points)
+        finite = True
+    except SpectralabError:
+        finite = False
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "long.cfg")
+        with open(cfg, "w") as handle:
+            handle.write(config)
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(["verify", cfg])
+    # an uncaught exception would have propagated out of main, and a warning
+    # would be one more stderr line from the command line
+    assert not caught
+    assert code in ((0, 1, 2) if finite else (2,))
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in lines[0]
+        assert lines[0].startswith("error: ") or lines[0].split(":")[0].endswith("Error")

@@ -1,3 +1,4 @@
+import copy
 import math
 import types
 
@@ -15,6 +16,7 @@ from spectralab.eigensolve import (
     INITIAL_ROWS,
     _inertia,
     _relative_residuals,
+    _ritz_pairs,
     solve_dense,
     solve_sparse,
     vertex_fields,
@@ -255,13 +257,14 @@ def test_inertia_counts_eigenvalues_below_each_gap(pencil):
 
 
 def _count_sweeps(monkeypatch):
-    """Record the ``(want, result)`` of every Lanczos sweep of a solve."""
+    """Record the ``(want, result)`` of every Lanczos sweep of a solve, as
+    returned: a copy, since the solver B-normalizes converged rows in place."""
     sweeps = []
     sweep = eigensolve._lanczos_sweep
 
     def counted(*args):
         result = sweep(*args)
-        sweeps.append((args[7], result))
+        sweeps.append((args[7], copy.deepcopy(result)))
         return result
 
     monkeypatch.setattr(eigensolve, "_lanczos_sweep", counted)
@@ -383,3 +386,22 @@ def test_step_capped_fill_sweep_reports_its_last_pairs(monkeypatch):
     assert len(best) == 10
     assert np.array_equal(best, res)
     assert np.array_equal(best, _relative_residuals(a, b, lams, vecs))
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1], [3, 2, 1, 0]],
+                         ids=["descending", "mixed", "ascending"])
+def test_ritz_pairs_ascending_for_any_theta_order(order):
+    # exact eigenvectors as the basis: the Ritz vector of column j is row
+    # order[j], so each returned vector must be the row of its value
+    chart = make_chart("flat_interval")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 40))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    exact = solve_dense(a, b, 4)
+    sigma = -1.0
+    thetas = 1.0 / (exact.eigenvalues[order] - sigma)
+    lams, vecs, res = _ritz_pairs(a, b, sigma, np.eye(4)[:, order], thetas, exact.vectors)
+    assert np.all(np.diff(lams) > 0)
+    assert np.allclose(lams, exact.eigenvalues, rtol=1e-13, atol=0.0)
+    assert np.array_equal(vecs, exact.vectors)
+    assert np.array_equal(res, _relative_residuals(a, b, lams, vecs))
+    assert np.all(res <= 1e-8)
