@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +25,8 @@ from .errors import MeshTooCoarseError, TensorError
 from .geometry import chart_fields, contract, immersion_operator_terms, not_spd
 
 # bytes of per-point values held at once by an assembly block of cells, or
-# when operators act on a block of eigenfunctions; it bounds the block's
-# share of the peak memory
+# by a block of the check integrals with its eigenfunction values; it bounds
+# the block's share of the peak memory
 BLOCK_BYTES = 1 << 24
 
 # reference quadrature
@@ -197,60 +196,32 @@ def _element_entries(chart, mesh, cells, upper):
 class EigenfunctionQuadrature:
     """Integrals of discrete eigenfunctions under element quadrature.
 
-    Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays.
-    Shared by the test-function and tensor-theorem checks, which both read
-    the terms of the identity
-    ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
-    (:func:`~spectralab.geometry.immersion_operator_terms`): the tensor
-    bound at the quadrature points, the test functions ``x^a`` as
-    ``vertex_lx``.  On construction, one pass over contiguous cell blocks
-    evaluates every integral of both checks for all eigenfunctions.  Each
-    block evaluates its per-point fields and builds sparse per-point
-    operators (one row per point, one entry per node of its cell: the P1
-    value, a direction dotted with the P1 gradient, and the test function's
-    ``R``), applies them to one ``(V, k)`` copy of the eigenfunctions and
-    adds its dm-weighted sums to the results.  A block holds about
-    :data:`BLOCK_BYTES` of per-point values, the eigenfunction values at its
-    points included; no field or operator over the whole mesh is held.
+    Wraps a chart, a mesh and eigenfunctions given as vertex-value arrays,
+    for the test-function and tensor-theorem checks.  On construction, one
+    pass over contiguous cell blocks (:func:`_block_integrals`) evaluates
+    every integral of both checks for all eigenfunctions.  Each block
+    evaluates its per-point fields and
+    :func:`~spectralab.geometry.immersion_operator_terms`, which gives
+    ``L h = L x^a`` for the test functions ``h = x^a``, gathers the
+    eigenfunction values at its cells' nodes and contracts them with
+    per-cell coefficients.  A block holds about :data:`BLOCK_BYTES` of
+    per-point values; no field over the whole mesh is held.
     """
 
     def __init__(self, chart, mesh, vertex_values):
         self.chart = chart
         self.mesh = mesh
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
-        self._sums, self._t_hh_max = self._integrate()
-
-    @cached_property
-    def vertex_lx(self):
-        """``L x^a`` at the vertices, shape ``(m, V)``: the operator applied
-        to the ambient coordinates in closed form,
-        ``frames^T (K^ij alpha_ij) + dx(tr(nabla T) - K d eta)``, evaluated
-        over blocks of vertices."""
-        chart, verts = self.chart, self.mesh.vertices
-        out = np.empty((chart.dim_m, len(verts)))
-        step = max(1, BLOCK_BYTES // _check_point_bytes(chart, 0))
-        for lo in range(0, len(verts), step):
-            pts = verts[lo:lo + step]
-            g, ginv, t, k = chart_fields(chart, pts)
-            frames, normal, tangential = immersion_operator_terms(chart, pts, g, ginv, t, k)
-            jac = chart.immersion.jacobian(pts)
-            out[:, lo:lo + step] = (contract("pk,pka->pa", normal, frames)
-                                    + contract("pai,pi->pa", jac, tangential)).T
-        return out
-
-    def _integrate(self):
-        """``(sums, t_hh_max)``: the rows of :func:`_block_integrals` summed
-        over cell blocks, and the largest ``|T(grad h, grad h)|`` per axis."""
         values = np.ascontiguousarray(self.vertex_values.T)  # the one (V, k) copy
-        cell_bytes = self.mesh.cells.shape[1] * _check_point_bytes(self.chart, values.shape[1])
+        cell_bytes = mesh.cells.shape[1] * _check_point_bytes(chart, values.shape[1])
         step = max(1, BLOCK_BYTES // cell_bytes)
-        sums = t_hh_max = 0.0
-        for lo in range(0, self.mesh.num_cells, step):
-            block_sums, block_max = _block_integrals(
-                self.chart, self.mesh, slice(lo, lo + step), values, self.vertex_lx)
-            sums += block_sums
-            t_hh_max = np.maximum(t_hh_max, block_max)
-        return sums, t_hh_max
+        # the rows of _block_integrals summed over cell blocks, and the
+        # largest |T(grad h, grad h)| per ambient axis
+        self._sums = self._t_hh_max = 0.0
+        for lo in range(0, mesh.num_cells, step):
+            sums, t_hh_max = _block_integrals(chart, mesh, slice(lo, lo + step), values)
+            self._sums = self._sums + sums
+            self._t_hh_max = np.maximum(self._t_hh_max, t_hh_max)
 
     def tensor_integrals(self, k):
         """Integrals ``(u_i^2 tr T, u_i^2 square field, u_i g(V, T grad u_i))``
@@ -271,51 +242,48 @@ class EigenfunctionQuadrature:
 
 def _check_point_bytes(chart, k):
     """Bytes per point a block of the check integrals holds at once: the
-    fields and immersion terms, the per-point operators, and three values
-    of each of the ``k`` eigenfunctions."""
+    fields and immersion terms, the per-cell coefficients, and four values
+    of each of the ``k`` eigenfunctions (one node value, three at points)."""
     m, n = chart.dim_m, chart.dim_n
-    return 8 * (3 * k + m * n * n + 4 * n ** 3 + 2 * m * n + 6 * n * n + 20)
+    return 8 * (4 * k + m * n * n + 4 * n ** 3 + 2 * m * n + 6 * n * n + 20)
 
 
-def _block_integrals(chart, mesh, cells, values, lx):
+def _block_integrals(chart, mesh, cells, values):
     """The check integrals over a slice of cells, for the eigenfunctions as
     the columns of ``values`` ``(V, k)``, and ``max |T(grad h, grad h)|`` per
     ambient axis.  Integral rows, each a dm-weighted sum: ``u^2 tr_g T``,
     ``u^2`` times the square field, ``u^2 T(grad h, grad h)`` for each axis
     ``h = x^a``, ``u g(V, T grad u)``, then ``(R u)^2`` for each axis with
-    ``R = Lh Phi + 2 (K grad h) . grad`` and ``Lh`` the P1 interpolant of
-    ``lx[a]``."""
+    ``R = Lh Phi + 2 (K grad h) . grad`` and ``Lh = L x^a`` at the point."""
     qpts, qw, grads, phi = _cell_geometry(mesh, cells)
     ncells, nq = qw.shape
     flat = qpts.reshape(-1, mesh.dim)
     g, ginv, t, k = chart_fields(chart, flat)
     dm = (_dm_weight(chart, g, flat).reshape(ncells, nq) * qw).ravel()
-    _, normal, tangential = immersion_operator_terms(chart, flat, g, ginv, t, k)
+    lx, normal, tangential = immersion_operator_terms(chart, flat, g, ginv, t, k)
     jac = chart.immersion.jacobian(flat)
-    phi = phi.reshape(len(flat), -1)
-    cols = np.repeat(mesh.cells[cells].astype(np.int32), nq, axis=0).ravel()
-    rows = np.arange(0, cols.size + 1, phi.shape[1], dtype=np.int32)
+    nodal = values[mesh.cells[cells]]  # (cells, nodes, k)
 
-    def operator(coeffs):  # points x vertices, coefficients at the cell's vertices
-        return sp.csr_matrix((coeffs.ravel(), cols, rows), shape=(len(flat), len(values)))
+    def at_points(coeffs):  # (cells, q, nodes) coefficients -> (points, k) values
+        return np.matmul(coeffs, nodal).reshape(len(flat), -1)
 
     def directional(vectors):  # coefficients of vec_p . grad
-        return contract("cqi,cai->cqa", vectors.reshape(ncells, nq, -1), grads).reshape(phi.shape)
+        return contract("cqi,cai->cqa", vectors.reshape(ncells, nq, -1), grads)
 
     m = chart.dim_m
     sums = np.empty((3 + 2 * m, values.shape[1]))
-    value_op = operator(phi)
-    u = value_op @ values
+    u = at_points(phi)
     # g(V, K grad u) = w . grad u with w = V g K
     w = contract("pa,pab,pbj->pj", tangential, g, k)
-    sums[2 + m] = dm @ (u * (operator(directional(w)) @ values))
+    sums[2 + m] = dm @ (u * at_points(directional(w)))
     u_fields = [np.einsum("pij,pji->p", ginv, t),
                 (normal ** 2).sum(axis=1) + contract("pab,pa,pb->p", g, tangential, tangential)]
     for axis in range(m):
         grad_h = jac[:, axis, :]
         k_grad_h = contract("pij,pj->pi", k, grad_h)
         u_fields.append(contract("pi,pi->p", grad_h, k_grad_h))
-        r_u = operator((value_op @ lx[axis])[:, None] * phi + 2.0 * directional(k_grad_h)) @ values
+        # R's terms are added on the coefficients: cheaper than on (points, k) values
+        r_u = at_points(lx[:, axis].reshape(ncells, nq, 1) * phi + 2.0 * directional(k_grad_h))
         sums[3 + m + axis] = dm @ (r_u * r_u)
     u *= u
     for row, field in enumerate(u_fields):

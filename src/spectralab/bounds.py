@@ -364,13 +364,13 @@ def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
     coordinate, at several k sharing one integral pass; labelled
     ``proposition_testfunction(h=x<axis + 1>)``.
 
-    ``Lh`` comes in closed form from the identity
-    ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``, not from
-    finite differences.  The default slack is ``max(1e-6, 8 h_max^2)``:
-    ambient-coordinate test functions can saturate the continuum inequality
-    with equality (on the hemisphere ``h u_1`` is itself an eigenfunction),
-    so the discrete verdict must absorb the O(h^2) eigenpair bias.  The
-    slack used is recorded in every report.
+    ``Lh`` is the closed form of the identity
+    ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))`` at the
+    quadrature points, not a finite difference.  The default slack is
+    ``max(1e-6, 8 h_max^2)``: ambient-coordinate test functions can saturate
+    the continuum inequality with equality (on the hemisphere ``h u_1`` is
+    itself an eigenfunction), so the discrete verdict must absorb the O(h^2)
+    eigenpair bias.  The slack used is recorded in every report.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if not 0 <= axis < quad.chart.dim_m:
@@ -402,8 +402,7 @@ def check_proposition_testfunction(quad, eigenvalues, axis, k, slack=None):
 
     The eigenfunctions come from the quadrature context (P1 vertex arrays);
     ``Lh`` is the closed form ``tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
-    in its ``axis`` component at the vertices, P1-interpolated to
-    quadrature points.
+    in its ``axis`` component, evaluated at the quadrature points.
     """
     return proposition_reports(quad, eigenvalues, axis, [k], slack=slack)[0]
 

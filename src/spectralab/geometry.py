@@ -37,6 +37,8 @@ DEGENERACY_TOL = 1e-12
 # monotone under refinement).
 CHRISTOFFEL_STEP_REL = 1.0 / 1024.0
 FLUX_STEP_REL = 4.0e-6
+# step of ExpressionWeight's central differences, relative to 1 + |xi|
+WEIGHT_STEP_REL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +395,9 @@ class RadialQuadraticWeight:
 class ExpressionWeight:
     """User expression string; gradient by central differences."""
 
-    def __init__(self, text, dim, step=1e-6):
+    def __init__(self, text, dim):
         self.fn = compile_expression(text, dim)
         self.dim = dim
-        self.step = step
 
     def value(self, pts):
         return self.fn(pts)
@@ -405,7 +406,7 @@ class ExpressionWeight:
         pts = np.atleast_2d(pts)
         grad = np.empty_like(pts)
         for axis in range(self.dim):
-            h = self.step * (1.0 + np.abs(pts[:, axis]))
+            h = WEIGHT_STEP_REL * (1.0 + np.abs(pts[:, axis]))
             shift = np.zeros_like(pts)
             shift[:, axis] = h
             grad[:, axis] = (self.fn(pts + shift) - self.fn(pts - shift)) / (2.0 * h)
@@ -755,7 +756,7 @@ def trace_grad_tensor(chart, points, g, ginv, t):
     ``CHRISTOFFEL_STEP_REL * max(domain extent)``.
     """
     points = np.atleast_2d(points)
-    if getattr(chart.tensor, "is_metric", False):
+    if chart.tensor.is_metric:
         return np.zeros_like(points), np.zeros(points.shape[0])
     n = chart.dim_n
     step = _step(chart, CHRISTOFFEL_STEP_REL)
@@ -782,20 +783,22 @@ def trace_grad_tensor(chart, points, g, ginv, t):
 
 
 def immersion_operator_terms(chart, points, g, ginv, t, k):
-    """The terms of ``L x = tr(alpha o T) + dx(tr nabla T - T nabla eta)``,
-    the operator applied to the immersion (Cheng & Yang, Math. Ann. 337,
-    2007; Chen & Cheng, J. Math. Soc. Japan 60, 2008).
+    """``L x = tr(alpha o T) + dx(tr nabla T - T nabla eta)``, the operator
+    applied to the immersion (Cheng & Yang, Math. Ann. 337, 2007; Chen &
+    Cheng, J. Math. Soc. Japan 60, 2008), and its terms.
 
     ``g, ginv, t, k`` are the :func:`chart_fields` at ``points``.  Returns
-    ``(frames, normal, tangential)``: the normal frames ``(N, m-n, m)``,
-    ``K^ij alpha^k_ij`` per normal ``(N, m-n)`` and the chart vector
-    ``V = tr(nabla T) - K d eta`` ``(N, n)``, so that
-    ``L x = frames^T normal + dx(V)``.
+    ``(lx, normal, tangential)``: ``L x^a`` ``(N, m)``, ``K^ij alpha^k_ij``
+    per normal ``(N, m-n)`` and the chart vector ``V = tr(nabla T) - K d eta``
+    ``(N, n)``, so that ``L x = frames^T normal + dx(V)``.
     """
     frames, alpha, _ = second_fundamental_form(chart, points, ginv)
     trace_grad, _ = trace_grad_tensor(chart, points, g, ginv, t)
     tangential = trace_grad - contract("pij,pj->pi", k, chart.eta.gradient(points))
-    return frames, np.einsum("pij,pkij->pk", k, alpha), tangential
+    normal = np.einsum("pij,pkij->pk", k, alpha)
+    lx = (contract("pk,pka->pa", normal, frames)
+          + contract("pai,pi->pa", chart.immersion.jacobian(points), tangential))
+    return lx, normal, tangential
 
 
 def compute_constants(chart, resolution):

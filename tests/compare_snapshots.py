@@ -4,8 +4,9 @@ Run from the repository root with ``python tests/compare_snapshots.py A B
 [--rtol 1e-12]``.  Every file must be byte-identical except ``bounds.csv``,
 whose rows must have the same ``name``, ``k`` and ``holds`` and whose
 numbers must agree within ``--rtol`` relative.  It prints the worst relative
-difference of each ``bounds.csv`` and every file that differs or exists on
-one side only, and exits 1 on any mismatch, 0 otherwise.
+difference of each ``bounds.csv``, then that of each check family in it (the
+row name up to ``(``) whose numbers differ at all, and every file that
+differs or exists on one side only.  It exits 1 on any mismatch, 0 otherwise.
 """
 
 import argparse
@@ -27,14 +28,15 @@ def _relative(a, b):
 
 
 def compare_bounds(text_a, text_b):
-    """(worst relative difference, list of mismatch descriptions)."""
+    """(worst relative difference, the worst per check family, list of
+    mismatch descriptions)."""
     rows_a, rows_b = text_a.splitlines(), text_b.splitlines()
     if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
-        return math.inf, ["header differs"]
+        return math.inf, {}, ["header differs"]
     if len(rows_a) != len(rows_b):
-        return math.inf, [f"{len(rows_a) - 1} rows against {len(rows_b) - 1}"]
+        return math.inf, {}, [f"{len(rows_a) - 1} rows against {len(rows_b) - 1}"]
     header = rows_a[0].split(",")
-    worst, problems = 0.0, []
+    worst, families, problems = 0.0, {}, []
     for line, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
         fields_a, fields_b = row_a.split(","), row_b.split(",")
         if len(fields_a) != len(header) or len(fields_b) != len(header):
@@ -50,7 +52,9 @@ def compare_bounds(text_a, text_b):
             except ValueError:
                 diff = 0.0 if a == b else math.inf
             worst = max(worst, diff)
-    return worst, problems
+            family = fields_a[0].split("(")[0]
+            families[family] = max(families.get(family, 0.0), diff)
+    return worst, families, problems
 
 
 def compare(dir_a, dir_b, rtol):
@@ -66,10 +70,12 @@ def compare(dir_a, dir_b, rtol):
     for rel in sorted(files_a & files_b):
         bytes_a, bytes_b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
         if rel.name == "bounds.csv":
-            worst, problems = compare_bounds(bytes_a.decode(), bytes_b.decode())
+            worst, families, problems = compare_bounds(bytes_a.decode(), bytes_b.decode())
             if worst > rtol:
                 problems.append(f"numbers differ by {worst:.3g} relative > {rtol:g}")
             print(f"{rel}: worst relative difference {worst:.3g}"
+                  + "".join(f"\n  {name}: {diff:.3g}"
+                            for name, diff in sorted(families.items()) if diff)
                   + "".join(f"\n  {p}" for p in problems))
             mismatches += bool(problems)
         elif bytes_a == bytes_b:

@@ -158,12 +158,13 @@ class QuadratureFields:
 
 def reference_proposition_integrals(quad, axis, k_top):
     """Test-function integrals for ``h = x^axis`` one eigenfunction at a
-    time, from the same vertex ``L x``: the oracle for
-    ``EigenfunctionQuadrature.proposition_integrals``."""
+    time, with the closed-form ``L x`` at the quadrature points: the oracle
+    for ``EigenfunctionQuadrature.proposition_integrals``."""
     fields = QuadratureFields(quad.chart, quad.mesh)
     grad_h = AmbientCoordinate(quad.chart, axis).gradient(fields.points)
     t_hh = np.einsum("pij,pi,pj->p", fields.k, grad_h, grad_h)
-    lh_q = fields.values(quad.vertex_lx[axis])
+    lh_q = immersion_operator_terms(quad.chart, fields.points, fields.g, fields.ginv,
+                                    fields.tensor, fields.k)[0][:, axis]
     weights = np.empty(k_top)
     rayleigh = np.empty(k_top)
     for i in range(k_top):

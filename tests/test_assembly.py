@@ -14,7 +14,7 @@ from helpers import (
     weighted_volume,
 )
 from spectralab import assembly
-from spectralab.assembly import EigenfunctionQuadrature, assemble
+from spectralab.assembly import assemble
 from spectralab.errors import MeshTooCoarseError, TensorError
 from spectralab.eigensolve import solve_dense
 from spectralab.geometry import (
@@ -22,6 +22,8 @@ from spectralab.geometry import (
     LinearWeight,
     ZeroWeight,
     apply_operator_pointwise,
+    chart_fields,
+    immersion_operator_terms,
     make_chart,
     make_eta,
     make_tensor,
@@ -283,8 +285,10 @@ def test_apply_Lh_sphere_coordinate():
 # ---------------------------------------------------------------------------
 
 def _vertex_lx(chart, resolution=6):
+    """The mesh and the closed-form ``L x`` at its vertices, ``(m, V)``."""
     mesh = build_structured(chart.domain, resolution)
-    return mesh, EigenfunctionQuadrature(chart, mesh, np.zeros(mesh.num_vertices)).vertex_lx
+    fields = chart_fields(chart, mesh.vertices)
+    return mesh, immersion_operator_terms(chart, mesh.vertices, *fields)[0].T
 
 
 @pytest.mark.parametrize("chart_id,params,expected", [

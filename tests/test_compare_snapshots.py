@@ -40,3 +40,16 @@ def test_mismatches_exit_one(tmp_path):
     assert compare_snapshots.main([a, extra]) == 1
     assert compare_snapshots.main([a, _snapshot(tmp_path / "loose", **cases["far"]),
                                    "--rtol", "1e-6"]) == 0
+
+
+def test_worst_difference_printed_per_family(tmp_path, capsys):
+    bounds = BOUNDS + "proposition_testfunction(h=x1),1,2.5,4.0,0.625,true,1e-06\n"
+    a = _snapshot(tmp_path / "a", bounds=bounds)
+    moved = (bounds.replace("16.060330499807094", "16.060330499807101")
+             .replace("2.5,4.0", "2.5000000000005,4.0"))
+    assert compare_snapshots.main([a, _snapshot(tmp_path / "b", bounds=moved)]) == 0
+    out = capsys.readouterr().out
+    assert "worst relative difference 2e-13" in out
+    assert "\n  proposition_testfunction: 2e-13\n" in out
+    assert "\n  thm_drift: 4.42e-16\n" in out
+    assert "ppw:" not in out  # no difference, no line

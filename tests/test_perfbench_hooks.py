@@ -36,8 +36,9 @@ def test_traced_run_records_every_layer():
     assert run.exit_code == 0
     assert len(results) == 2
     names = {span[0] for span in tracer.spans}
-    for name in ("assembly.assemble", "eigensolve.solve_sparse", "eigensolve.splu",
-                 "eigensolve.lu_solve"):
+    for name in ("geometry.compute_constants", "meshing.build_structured",
+                 "assembly.assemble", "assembly.quadrature", "eigensolve.solve_sparse",
+                 "eigensolve.splu", "eigensolve.lu_solve", "eigensolve.vertex_fields"):
         assert name in names
     assert any(name.startswith("bounds.") for name in names)
     assert tracer.counters["eigensolve.lu_fill"] > 0
