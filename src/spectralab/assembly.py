@@ -110,14 +110,14 @@ def _cell_geometry(mesh, cells=slice(None)):
     return qpts, qw, grads, phi
 
 
-def _dm_weight(chart, g, qpts_flat):
-    """Weight exp(-eta) sqrt(det g) of the measure dm at flat points."""
+def _dm_weight(chart, fields):
+    """Weight exp(-eta) sqrt(det g) of the measure dm at the points of ``fields``."""
     # np.linalg.det, not det_small: the shipped hemisphere spectra hold
     # numerically tied pairs whose roundoff-level gaps decide whether
     # hile_protter is evaluated, so rounding det g differently here changes
     # the check counts recorded in perfbench/golden.json
-    det = np.linalg.det(g) if chart.dim_n > 1 else g[:, 0, 0]
-    return np.exp(-chart.eta.value(qpts_flat)) * np.sqrt(det)
+    det = np.linalg.det(fields.g) if chart.dim_n > 1 else fields.g[:, 0, 0]
+    return np.exp(-chart.eta.value(fields.points)) * np.sqrt(det)
 
 
 def assemble(chart, mesh, dirichlet=True):
@@ -182,14 +182,13 @@ def _element_entries(chart, mesh, cells, upper):
     quadrature point where T is not positive definite."""
     qpts, qw, grads, phi = _cell_geometry(mesh, cells)
     ncells, nq = qw.shape
-    flat = qpts.reshape(-1, mesh.dim)
-    g, _, t, k = chart_fields(chart, flat)
-    wq = _dm_weight(chart, g, flat).reshape(ncells, nq) * qw
+    fields = chart_fields(chart, qpts.reshape(-1, mesh.dim))
+    wq = _dm_weight(chart, fields).reshape(ncells, nq) * qw
     # stiffness: grads are constant per cell, so sum the weighted K first
-    k_eff = contract("cq,cqij->cij", wq, k.reshape(ncells, nq, mesh.dim, mesh.dim))
+    k_eff = contract("cq,cqij->cij", wq, fields.k.reshape(ncells, nq, mesh.dim, mesh.dim))
     a_elem = contract("cai,cij,cbj->cab", grads, k_eff, grads)
     b_elem = contract("cq,cqa,cqb->cab", wq, phi, phi)
-    bad = not_spd(t, g).reshape(ncells, nq).any(axis=1)
+    bad = not_spd(fields).reshape(ncells, nq).any(axis=1)
     return a_elem[:, upper[0], upper[1]].T, b_elem[:, upper[0], upper[1]].T, bad
 
 
@@ -200,8 +199,8 @@ class EigenfunctionQuadrature:
     for the test-function and tensor-theorem checks.  On construction, one
     pass over contiguous cell blocks (:func:`_block_integrals`) evaluates
     every integral of both checks for all eigenfunctions.  Each block
-    evaluates its per-point fields and
-    :func:`~spectralab.geometry.immersion_operator_terms`, which gives
+    evaluates one :func:`~spectralab.geometry.chart_fields` record and
+    :func:`~spectralab.geometry.immersion_operator_terms` from it, which gives
     ``L h = L x^a`` for the test functions ``h = x^a``, gathers the
     eigenfunction values at its cells' nodes and contracts them with
     per-cell coefficients.  A block holds about :data:`BLOCK_BYTES` of
@@ -257,15 +256,13 @@ def _block_integrals(chart, mesh, cells, values):
     ``R = Lh Phi + 2 (K grad h) . grad`` and ``Lh = L x^a`` at the point."""
     qpts, qw, grads, phi = _cell_geometry(mesh, cells)
     ncells, nq = qw.shape
-    flat = qpts.reshape(-1, mesh.dim)
-    g, ginv, t, k = chart_fields(chart, flat)
-    dm = (_dm_weight(chart, g, flat).reshape(ncells, nq) * qw).ravel()
-    lx, normal, tangential = immersion_operator_terms(chart, flat, g, ginv, t, k)
-    jac = chart.immersion.jacobian(flat)
+    fields = chart_fields(chart, qpts.reshape(-1, mesh.dim))
+    dm = (_dm_weight(chart, fields).reshape(ncells, nq) * qw).ravel()
+    lx, normal, tangential = immersion_operator_terms(chart, fields)
     nodal = values[mesh.cells[cells]]  # (cells, nodes, k)
 
     def at_points(coeffs):  # (cells, q, nodes) coefficients -> (points, k) values
-        return np.matmul(coeffs, nodal).reshape(len(flat), -1)
+        return np.matmul(coeffs, nodal).reshape(ncells * nq, -1)
 
     def directional(vectors):  # coefficients of vec_p . grad
         return contract("cqi,cai->cqa", vectors.reshape(ncells, nq, -1), grads)
@@ -274,13 +271,13 @@ def _block_integrals(chart, mesh, cells, values):
     sums = np.empty((3 + 2 * m, values.shape[1]))
     u = at_points(phi)
     # g(V, K grad u) = w . grad u with w = V g K
-    w = contract("pa,pab,pbj->pj", tangential, g, k)
+    w = contract("pa,pab,pbj->pj", tangential, fields.g, fields.k)
     sums[2 + m] = dm @ (u * at_points(directional(w)))
-    u_fields = [np.einsum("pij,pji->p", ginv, t),
-                (normal ** 2).sum(axis=1) + contract("pab,pa,pb->p", g, tangential, tangential)]
+    square = (normal ** 2).sum(axis=1) + contract("pab,pa,pb->p", fields.g, tangential, tangential)
+    u_fields = [np.einsum("pij,pji->p", fields.ginv, fields.t), square]
     for axis in range(m):
-        grad_h = jac[:, axis, :]
-        k_grad_h = contract("pij,pj->pi", k, grad_h)
+        grad_h = fields.jac[:, axis, :]
+        k_grad_h = contract("pij,pj->pi", fields.k, grad_h)
         u_fields.append(contract("pi,pi->p", grad_h, k_grad_h))
         # R's terms are added on the coefficients: cheaper than on (points, k) values
         r_u = at_points(lx[:, axis].reshape(ncells, nq, 1) * phi + 2.0 * directional(k_grad_h))

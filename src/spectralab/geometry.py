@@ -30,6 +30,7 @@ from .errors import (
 from .expressions import compile_expression
 
 DEGENERACY_TOL = 1e-12
+CONTAINS_TOL = 1e-9  # slack of the parameter domains' membership tests
 
 # Finite-difference steps used by compute_constants / apply_operator_pointwise.
 # Both are independent of the sampling resolution so that nested sample grids
@@ -70,11 +71,11 @@ class Rectangle:
     def measure(self):
         return float(np.prod(self.extents))
 
-    def contains(self, points, tol=1e-9):
+    def contains(self, points):
         points = np.atleast_2d(points)
         ok = np.ones(points.shape[0], dtype=bool)
         for axis, (a, b) in enumerate(self.bounds):
-            ok &= (points[:, axis] >= a - tol) & (points[:, axis] <= b + tol)
+            ok &= (points[:, axis] >= a - CONTAINS_TOL) & (points[:, axis] <= b + CONTAINS_TOL)
         return ok
 
     def sample_grid(self, resolution):
@@ -124,10 +125,10 @@ class Disk:
     def measure(self):
         return math.pi * self.radius ** 2
 
-    def contains(self, points, tol=1e-9):
+    def contains(self, points):
         points = np.atleast_2d(points)
         d = np.hypot(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
-        return d <= self.radius + tol
+        return d <= self.radius + CONTAINS_TOL
 
     def sample_grid(self, resolution):
         """Center plus ``resolution`` concentric rings of ``6*resolution`` angles."""
@@ -519,20 +520,25 @@ def contract(spec, *operands):
     return out
 
 
-def metric(chart, points, check_domain=True):
+def metric(chart, points):
     """Induced metric g_ij = <d_i x, d_j x> at each point, shape ``(N, n, n)``.
 
-    Raises :class:`DomainError` for points outside the parameter domain and
-    :class:`DegeneracyError` where ``det g`` falls below tolerance.
+    Always checks the points: raises :class:`DomainError` outside the parameter
+    domain and :class:`DegeneracyError` where ``det g`` falls below tolerance.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if check_domain and not np.all(chart.domain.contains(points)):
+    if not np.all(chart.domain.contains(points)):
         bad = points[~chart.domain.contains(points)][0]
         raise DomainError(f"point {tuple(bad.tolist())} outside the parameter domain")
-    jac = chart.immersion.jacobian(points)
+    return _gram(chart.immersion.jacobian(points))
+
+
+def _gram(jac):
+    """Gram product g = jac^T jac of Jacobians ``(N, m, n)``, checked as in :func:`metric`."""
     g = contract("pai,paj->pij", jac, jac)
-    scale = np.einsum("pii->p", g) / chart.dim_n
-    if np.any(det_small(g) <= DEGENERACY_TOL * scale ** chart.dim_n):
+    n = g.shape[-1]
+    scale = np.einsum("pii->p", g) / n
+    if np.any(det_small(g) <= DEGENERACY_TOL * scale ** n):
         raise DegeneracyError("degenerate immersion: det g below tolerance")
     return g
 
@@ -556,13 +562,27 @@ def _inv_spd(g):
     return inv
 
 
+@dataclass(frozen=True, eq=False)
+class PointFields:
+    """A chart's fields at ``points`` ``(N, n)``: the Jacobian ``jac`` ``(N, m, n)``,
+    its Gram product ``g``, ``ginv``, ``t`` and ``k = g^-1 T g^-1``, each ``(N, n, n)``."""
+
+    points: np.ndarray
+    jac: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    t: np.ndarray
+    k: np.ndarray
+
+
 def chart_fields(chart, points):
-    """Metric g, its inverse, the tensor T and the conductivity
-    K = g^-1 T g^-1 at points, each of shape ``(N, n, n)``."""
-    g = metric(chart, points, check_domain=False)
+    """The :class:`PointFields` at ``points`` (not checked against the domain)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    jac = chart.immersion.jacobian(points)
+    g = _gram(jac)
     ginv = _inv_spd(g)
     t = chart.tensor.value(points, g)
-    return g, ginv, t, contract("pia,pab,pbj->pij", ginv, t, ginv)
+    return PointFields(points, jac, g, ginv, t, contract("pia,pab,pbj->pij", ginv, t, ginv))
 
 
 def pair_eigenvalues(t, g):
@@ -583,41 +603,38 @@ def pair_eigenvalues(t, g):
     return np.stack([lam1, lam2], axis=-1)
 
 
-def not_spd(t, g):
+def not_spd(fields):
     """Mask of the points where T is not positive definite relative to g."""
-    eig = pair_eigenvalues(t, g)
+    eig = pair_eigenvalues(fields.t, fields.g)
     scale = np.maximum(np.abs(eig).max(axis=1), 1.0)
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
-def check_tensor_spd(points, t, g):
+def check_tensor_spd(fields):
     """Raise :class:`TensorError` if T is not SPD relative to g at a sample."""
-    bad = not_spd(t, g)
+    bad = not_spd(fields)
     if np.any(bad):
-        where = points[bad][0]
+        where = fields.points[bad][0]
         raise TensorError(
             f"coefficient tensor not positive definite at sample {tuple(where.tolist())}")
 
 
-def second_fundamental_form(chart, points, ginv=None):
-    """Normal frame, second-fundamental-form components and mean curvature.
+def second_fundamental_form(chart, fields):
+    """Normal frame, second-fundamental-form components and mean curvature
+    at the points of the :func:`chart_fields` record ``fields``.
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
     by Gram-Schmidt over the ambient basis in fixed order, so it is
-    deterministic; for ``m == n`` all outputs are empty/zero.  ``ginv`` is
-    the inverse metric at the points when the caller holds it (as from
-    :func:`chart_fields`); else it is computed here.
+    deterministic; for ``m == n`` all outputs are empty/zero.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = points.shape[0]
+    npts = fields.points.shape[0]
     n, m = chart.dim_n, chart.dim_m
     codim = m - n
     if codim == 0:
         return (np.zeros((npts, 0, m)), np.zeros((npts, 0, n, n)), np.zeros((npts, m)))
 
-    jac = chart.immersion.jacobian(points)
-    q, r = np.linalg.qr(jac)
+    q, r = np.linalg.qr(fields.jac)
     diag = np.abs(np.einsum("pii->pi", r))
     if np.any(diag.min(axis=1) <= DEGENERACY_TOL * (1.0 + diag.max(axis=1))):
         raise DegeneracyError("rank-deficient tangent space")
@@ -641,26 +658,23 @@ def second_fundamental_form(chart, points, ginv=None):
     if np.any(count < codim):
         raise DegeneracyError("could not complete an orthonormal normal frame")
 
-    hess = chart.immersion.hessian(points)
+    hess = chart.immersion.hessian(fields.points)
     alpha = contract("pka,paij->pkij", frames, hess)
-    if ginv is None:
-        ginv = _inv_spd(metric(chart, points, check_domain=False))
-    trace = np.einsum("pij,pkij->pk", ginv, alpha)
+    trace = np.einsum("pij,pkij->pk", fields.ginv, alpha)
     mean_curv = contract("pk,pka->pa", trace, frames) / n
     return frames, alpha, mean_curv
 
 
 def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
-    points = np.atleast_2d(points)
-    ginv = _inv_spd(metric(chart, points, check_domain=False))
-    _, alpha, _ = second_fundamental_form(chart, points, ginv)
-    return _shape_norms(alpha, ginv)
+    fields = chart_fields(chart, points)
+    _, alpha, _ = second_fundamental_form(chart, fields)
+    return _shape_norms(fields, alpha)
 
 
-def _shape_norms(alpha, ginv):
+def _shape_norms(fields, alpha):
     """Per-normal Hilbert-Schmidt norms of second-form components ``alpha``."""
-    sq = contract("pia,pjb,pkij,pkab->pk", ginv, ginv, alpha, alpha)
+    sq = contract("pia,pjb,pkij,pkab->pk", fields.ginv, fields.ginv, alpha, alpha)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -692,10 +706,10 @@ def apply_operator_pointwise(chart, field, points, identity_tensor=False):
     def conductivity(pts):
         """sqrt(det g) and K at pts."""
         if identity_tensor:  # T is never evaluated, not even at the shifted points
-            g = metric(chart, pts, check_domain=False)
+            g = _gram(chart.immersion.jacobian(pts))
             return np.sqrt(det_small(g)), _inv_spd(g)
-        g, _, _, k = chart_fields(chart, pts)
-        return np.sqrt(det_small(g)), k
+        fields = chart_fields(chart, pts)
+        return np.sqrt(det_small(fields.g)), fields.k
 
     def flux(pts):
         sqrt_g, k = conductivity(pts)
@@ -746,16 +760,16 @@ class GeometricConstants:
         return asdict(self)
 
 
-def trace_grad_tensor(chart, points, g, ginv, t):
-    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm.
+def trace_grad_tensor(chart, fields):
+    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm at the
+    points of the :func:`chart_fields` record ``fields``.
 
-    ``g``, ``ginv`` and ``t`` are the :func:`chart_fields` at ``points``,
-    which every caller already holds.  Both results are zero for the metric
-    tensor (metric compatibility).  Otherwise the derivatives of g (for the
-    Christoffel symbols) and of T are central differences with step
-    ``CHRISTOFFEL_STEP_REL * max(domain extent)``.
+    Both results are zero for the metric tensor (metric compatibility).
+    Otherwise the derivatives of g (for the Christoffel symbols) and of T
+    are central differences with step ``CHRISTOFFEL_STEP_REL * max(domain
+    extent)``; the shifted points evaluate only g and T.
     """
-    points = np.atleast_2d(points)
+    points, g, ginv, t = fields.points, fields.g, fields.ginv, fields.t
     if chart.tensor.is_metric:
         return np.zeros_like(points), np.zeros(points.shape[0])
     n = chart.dim_n
@@ -765,8 +779,8 @@ def trace_grad_tensor(chart, points, g, ginv, t):
     for axis in range(n):
         shift = np.zeros_like(points)
         shift[:, axis] = step
-        gp = metric(chart, points + shift, check_domain=False)
-        gm = metric(chart, points - shift, check_domain=False)
+        gp = _gram(chart.immersion.jacobian(points + shift))
+        gm = _gram(chart.immersion.jacobian(points - shift))
         dg[:, axis] = (gp - gm) / (2.0 * step)
         dt[:, axis] = (chart.tensor.value(points + shift, gp)
                        - chart.tensor.value(points - shift, gm)) / (2.0 * step)
@@ -782,22 +796,22 @@ def trace_grad_tensor(chart, points, g, ginv, t):
     return trace_vec, norm
 
 
-def immersion_operator_terms(chart, points, g, ginv, t, k):
+def immersion_operator_terms(chart, fields):
     """``L x = tr(alpha o T) + dx(tr nabla T - T nabla eta)``, the operator
     applied to the immersion (Cheng & Yang, Math. Ann. 337, 2007; Chen &
     Cheng, J. Math. Soc. Japan 60, 2008), and its terms.
 
-    ``g, ginv, t, k`` are the :func:`chart_fields` at ``points``.  Returns
+    ``fields`` is the :func:`chart_fields` record at the points.  Returns
     ``(lx, normal, tangential)``: ``L x^a`` ``(N, m)``, ``K^ij alpha^k_ij``
     per normal ``(N, m-n)`` and the chart vector ``V = tr(nabla T) - K d eta``
     ``(N, n)``, so that ``L x = frames^T normal + dx(V)``.
     """
-    frames, alpha, _ = second_fundamental_form(chart, points, ginv)
-    trace_grad, _ = trace_grad_tensor(chart, points, g, ginv, t)
-    tangential = trace_grad - contract("pij,pj->pi", k, chart.eta.gradient(points))
-    normal = np.einsum("pij,pkij->pk", k, alpha)
+    frames, alpha, _ = second_fundamental_form(chart, fields)
+    trace_grad, _ = trace_grad_tensor(chart, fields)
+    tangential = trace_grad - contract("pij,pj->pi", fields.k, chart.eta.gradient(fields.points))
+    normal = np.einsum("pij,pkij->pk", fields.k, alpha)
     lx = (contract("pk,pka->pa", normal, frames)
-          + contract("pai,pi->pa", chart.immersion.jacobian(points), tangential))
+          + contract("pai,pi->pa", fields.jac, tangential))
     return lx, normal, tangential
 
 
@@ -821,36 +835,35 @@ def compute_constants(chart, resolution):
     if resolution < 8:
         raise ParameterError("constants resolution must be at least 8 points per axis")
     pts = chart.domain.sample_grid(resolution)
-    g, ginv, t, _ = chart_fields(chart, pts)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(t))):
+    fields = chart_fields(chart, pts)
+    if not (np.all(np.isfinite(fields.g)) and np.all(np.isfinite(fields.t))):
         raise EvaluationError("non-finite metric or tensor values on the sample grid")
-    check_tensor_spd(pts, t, g)
+    check_tensor_spd(fields)
 
     deta = chart.eta.gradient(pts)
     eta0 = float(np.sqrt(np.maximum(
-        contract("pij,pi,pj->p", ginv, deta, deta), 0.0)).max())
+        contract("pij,pi,pj->p", fields.ginv, deta, deta), 0.0)).max())
 
     # drifting Laplacian of eta (coefficient tensor = metric)
     eta_bar0 = float(apply_operator_pointwise(
         chart, chart.eta, pts, identity_tensor=True).max())
 
     if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, pts, ginv)
+        _, alpha, mean_curv = second_fundamental_form(chart, fields)
         h0 = float(np.linalg.norm(mean_curv, axis=1).max())
-        a0 = float(_shape_norms(alpha, ginv).max())
+        a0 = float(_shape_norms(fields, alpha).max())
     else:
         h0 = 0.0
         a0 = 0.0
 
-    t_star = float(np.sqrt(np.maximum(
-        np.einsum("pij,pji->p", contract("pia,pab->pib", ginv, t),
-                  contract("pjb,pba->pja", ginv, t)), 0.0)).max())
-    tr_t = np.einsum("pij,pji->p", ginv, t)
-    t0 = float(trace_grad_tensor(chart, pts, g, ginv, t)[1].max())
+    ginv_t = contract("pia,pab->pib", fields.ginv, fields.t)
+    t_star = float(np.sqrt(np.maximum(np.einsum("pij,pji->p", ginv_t, ginv_t), 0.0)).max())
+    tr_t = np.einsum("pij,pji->p", fields.ginv, fields.t)
+    t0 = float(trace_grad_tensor(chart, fields)[1].max())
 
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)
-    gq = metric(chart, qpts, check_domain=False)
+    gq = _gram(chart.immersion.jacobian(qpts))
     vol = float((qwts * np.sqrt(det_small(gq))).sum())
 
     return GeometricConstants(

@@ -16,6 +16,7 @@ from spectralab.eigensolve import solve_sparse, vertex_fields
 from spectralab.geometry import (
     CallableImmersion,
     Chart,
+    PointFields,
     Rectangle,
     _inv_spd,
     chart_fields,
@@ -80,8 +81,9 @@ def reference_assemble(chart, mesh):
     jac = chart.immersion.jacobian(flat)
     g = np.einsum("pai,paj->pij", jac, jac)
     ginv = _inv_spd(g)
-    k = np.einsum("pia,pab,pbj->pij", ginv, chart.tensor.value(flat, g), ginv)
-    wq = _dm_weight(chart, g, flat).reshape(ncells, nq) * qw
+    t = chart.tensor.value(flat, g)
+    k = np.einsum("pia,pab,pbj->pij", ginv, t, ginv)
+    wq = _dm_weight(chart, PointFields(flat, jac, g, ginv, t, k)).reshape(ncells, nq) * qw
     k_eff = np.einsum("cq,cqij->cij", wq, k.reshape(ncells, nq, mesh.dim, mesh.dim))
     a_elem = np.einsum("cai,cij,cbj->cab", grads, k_eff, grads)
     b_elem = np.einsum("cq,cqa,cqb->cab", wq, phi, phi)
@@ -128,18 +130,17 @@ def quadrature_context(chart, mesh, result):
 
 
 class QuadratureFields:
-    """Chart fields, dm weights and P1 data at every quadrature point of a
-    mesh at once, from the chart and the mesh: what the per-eigenfunction
-    oracles integrate against."""
+    """The chart-field record, dm weights and P1 data at every quadrature
+    point of a mesh at once, from the chart and the mesh: what the
+    per-eigenfunction oracles integrate against."""
 
     def __init__(self, chart, mesh):
         qpts, qw, self.grads, phi = _cell_geometry(mesh)
         self.ncells, self.nq = qw.shape
         self.cells = mesh.cells
-        self.points = qpts.reshape(-1, mesh.dim)
         self.phi = np.asarray(phi)
-        self.g, self.ginv, self.tensor, self.k = chart_fields(chart, self.points)
-        self.dm_weights = (_dm_weight(chart, self.g, self.points).reshape(self.ncells, self.nq)
+        self.fields = chart_fields(chart, qpts.reshape(-1, mesh.dim))
+        self.dm_weights = (_dm_weight(chart, self.fields).reshape(self.ncells, self.nq)
                            * qw).ravel()
 
     def integrate(self, values_flat):
@@ -160,38 +161,40 @@ def reference_proposition_integrals(quad, axis, k_top):
     """Test-function integrals for ``h = x^axis`` one eigenfunction at a
     time, with the closed-form ``L x`` at the quadrature points: the oracle
     for ``EigenfunctionQuadrature.proposition_integrals``."""
-    fields = QuadratureFields(quad.chart, quad.mesh)
+    quad_fields = QuadratureFields(quad.chart, quad.mesh)
+    fields = quad_fields.fields
     grad_h = AmbientCoordinate(quad.chart, axis).gradient(fields.points)
     t_hh = np.einsum("pij,pi,pj->p", fields.k, grad_h, grad_h)
-    lh_q = immersion_operator_terms(quad.chart, fields.points, fields.g, fields.ginv,
-                                    fields.tensor, fields.k)[0][:, axis]
+    lh_q = immersion_operator_terms(quad.chart, fields)[0][:, axis]
     weights = np.empty(k_top)
     rayleigh = np.empty(k_top)
     for i in range(k_top):
-        u_q = fields.values(quad.vertex_values[i])
-        t_h_u = np.einsum("pij,pi,pj->p", fields.k, grad_h, fields.gradient(quad.vertex_values[i]))
-        weights[i] = fields.integrate(u_q ** 2 * t_hh)
-        rayleigh[i] = fields.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
+        u_q = quad_fields.values(quad.vertex_values[i])
+        t_h_u = np.einsum("pij,pi,pj->p", fields.k, grad_h,
+                          quad_fields.gradient(quad.vertex_values[i]))
+        weights[i] = quad_fields.integrate(u_q ** 2 * t_hh)
+        rayleigh[i] = quad_fields.integrate((u_q * lh_q + 2.0 * t_h_u) ** 2)
     return weights, rayleigh
 
 
 def reference_tensor_integrals(quad, k):
     """Integrated tensor-bound integrals one eigenfunction at a time, as a
     ``(k, 3)`` array: the oracle for ``EigenfunctionQuadrature.tensor_integrals``."""
-    fields = QuadratureFields(quad.chart, quad.mesh)
+    quad_fields = QuadratureFields(quad.chart, quad.mesh)
+    fields = quad_fields.fields
     g, k_field = fields.g, fields.k
-    tr_t = np.einsum("pij,pji->p", fields.ginv, fields.tensor)
-    _, normal, tangential = immersion_operator_terms(
-        quad.chart, fields.points, g, fields.ginv, fields.tensor, k_field)
+    tr_t = np.einsum("pij,pji->p", fields.ginv, fields.t)
+    _, normal, tangential = immersion_operator_terms(quad.chart, fields)
     square_field = (normal ** 2).sum(axis=1) + np.einsum("pab,pa,pb->p", g, tangential,
                                                          tangential)
     rows = []
     for i in range(k):
-        u_q = fields.values(quad.vertex_values[i])
-        t_grad_u = np.einsum("pij,pj->pi", k_field, fields.gradient(quad.vertex_values[i]))
-        rows.append((fields.integrate(u_q ** 2 * tr_t),
-                     fields.integrate(u_q ** 2 * square_field),
-                     fields.integrate(u_q * np.einsum("pab,pa,pb->p", g, tangential, t_grad_u))))
+        u_q = quad_fields.values(quad.vertex_values[i])
+        t_grad_u = np.einsum("pij,pj->pi", k_field, quad_fields.gradient(quad.vertex_values[i]))
+        rows.append((quad_fields.integrate(u_q ** 2 * tr_t),
+                     quad_fields.integrate(u_q ** 2 * square_field),
+                     quad_fields.integrate(
+                         u_q * np.einsum("pab,pa,pb->p", g, tangential, t_grad_u))))
     return np.array(rows)
 
 
@@ -237,10 +240,20 @@ def scenario_snapshot(run):
     }
 
 
-def _close(actual, expected):
-    if isinstance(expected, str):
-        return str(actual) == expected
+def golden_close(actual, expected):
+    """Whether a number matches its recorded value: to GOLDEN_REL relative,
+    or exactly as text where either is non-finite (stored as text)."""
+    if isinstance(expected, str) or isinstance(actual, str):
+        return str(actual) == str(expected)
     return abs(actual - expected) <= GOLDEN_REL * abs(expected)
+
+
+def golden_row_matches(row, ref):
+    """Whether a report row matches its recorded row: name, k, holds and
+    skipped exactly; lhs, rhs and ratio by :func:`golden_close`."""
+    name, k, lhs, rhs, ratio, holds, skipped = row
+    return ([name, k, holds, skipped] == [ref[0], ref[1], ref[5], ref[6]]
+            and all(map(golden_close, (lhs, rhs, ratio), ref[2:5])))
 
 
 def golden_mismatches(snapshot, expected):
@@ -252,14 +265,12 @@ def golden_mismatches(snapshot, expected):
                          sorted(expected["eigenvalues"])))
     for res, values in expected["eigenvalues"].items():
         got = snapshot["eigenvalues"].get(res, [])
-        if len(got) != len(values) or not all(map(_close, got, values)):
+        if len(got) != len(values) or not all(map(golden_close, got, values)):
             problems.append(("eigenvalues", res, got, values))
     rows, want = snapshot["reports"], expected["reports"]
     if len(rows) != len(want):
         problems.append(("report count", len(rows), len(want)))
     for index, (row, ref) in enumerate(zip(rows, want)):
-        name, k, lhs, rhs, ratio, holds, skipped = row
-        if ([name, k, holds, skipped] != [ref[0], ref[1], ref[5], ref[6]]
-                or not all(map(_close, (lhs, rhs, ratio), ref[2:5]))):
+        if not golden_row_matches(row, ref):
             problems.append(("report", index, row, ref))
     return problems

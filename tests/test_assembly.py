@@ -287,8 +287,7 @@ def test_apply_Lh_sphere_coordinate():
 def _vertex_lx(chart, resolution=6):
     """The mesh and the closed-form ``L x`` at its vertices, ``(m, V)``."""
     mesh = build_structured(chart.domain, resolution)
-    fields = chart_fields(chart, mesh.vertices)
-    return mesh, immersion_operator_terms(chart, mesh.vertices, *fields)[0].T
+    return mesh, immersion_operator_terms(chart, chart_fields(chart, mesh.vertices))[0].T
 
 
 @pytest.mark.parametrize("chart_id,params,expected", [

@@ -38,12 +38,17 @@ from spectralab.bounds import (
 )
 from spectralab.errors import ParameterError, ShiftPositivityError
 from spectralab.geometry import (
+    CallableImmersion,
+    Chart,
     Disk,
     GeometricConstants,
+    StereographicSphere,
     compute_constants,
     make_chart,
+    make_eta,
     make_tensor,
 )
+from spectralab.meshing import build_structured
 from spectralab.reference import (
     hemisphere_spectrum,
     interval_spectrum,
@@ -468,6 +473,32 @@ def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
     for blocked in results[:-1]:
         for part, whole in zip(blocked, results[-1]):
             _assert_columns_close(part, whole, 1e-14)
+
+
+def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatch):
+    # codimension 1 with the metric tensor: a block's fields, second
+    # fundamental form, L x and grad h all read one Jacobian evaluation
+    calls = {"jacobian": 0, "hessian": 0, "blocks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sphere = StereographicSphere(1.0)
+    immersion = CallableImmersion(2, 3, sphere.position, counted("jacobian", sphere.jacobian),
+                                  counted("hessian", sphere.hessian))
+    chart = Chart(2, 3, Disk(), immersion, make_eta("zero"), make_tensor("metric"))
+    mesh = build_structured(chart.domain, 6)
+    values = np.random.default_rng(3).standard_normal((3, mesh.num_vertices))
+    cells_per_block = 7
+    monkeypatch.setattr(assembly, "BLOCK_BYTES", cells_per_block * mesh.cells.shape[1]
+                        * assembly._check_point_bytes(chart, 3))
+    monkeypatch.setattr(assembly, "_block_integrals", counted("blocks", assembly._block_integrals))
+    assembly.EigenfunctionQuadrature(chart, mesh, values)
+    assert calls["blocks"] == -(-mesh.num_cells // cells_per_block) > 1
+    assert calls["jacobian"] == calls["hessian"] == calls["blocks"]
 
 
 def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):

@@ -16,6 +16,7 @@ from spectralab.geometry import (
     Disk,
     ExpressionWeight,
     Rectangle,
+    chart_fields,
     compute_constants,
     contract,
     make_chart,
@@ -88,7 +89,7 @@ def test_degenerate_immersion_detected():
 
 def test_flat_chart_has_no_curvature():
     chart = make_chart("flat_rectangle")
-    frames, alpha, mean_curv = second_fundamental_form(chart, [[0.3, 0.3]])
+    frames, alpha, mean_curv = second_fundamental_form(chart, chart_fields(chart, [[0.3, 0.3]]))
     assert frames.shape == (1, 0, 2)
     assert np.all(alpha == 0) and np.all(mean_curv == 0)
 
@@ -96,7 +97,7 @@ def test_flat_chart_has_no_curvature():
 def test_sphere_mean_curvature_is_unit():
     chart = make_chart("stereographic_sphere", (1.0,))
     pts = RNG.uniform(-0.8, 0.8, (10, 2))
-    _, _, mean_curv = second_fundamental_form(chart, pts)
+    _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
     assert np.allclose(np.linalg.norm(mean_curv, axis=1), 1.0, atol=1e-12)
     assert np.allclose(shape_operator_norms(chart, pts), math.sqrt(2), atol=1e-12)
 
@@ -105,7 +106,7 @@ def test_associate_family_members_are_minimal():
     pts = RNG.uniform([0.1, -0.7], [3.0, 0.7], (25, 2))
     for theta in (0.0, math.pi / 4, math.pi / 2):
         chart = make_chart("associate_family", (theta,))
-        _, _, mean_curv = second_fundamental_form(chart, pts)
+        _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
         assert np.linalg.norm(mean_curv, axis=1).max() <= 1e-8
 
 
@@ -122,7 +123,7 @@ def test_associate_family_alpha_norm_theta_independent():
 def test_cylinder_curvatures():
     chart = make_chart("cylinder", (0.5,))
     pts = RNG.uniform([0.1, 0.1], [1.4, 0.9], (10, 2))
-    _, _, mean_curv = second_fundamental_form(chart, pts)
+    _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
     assert np.allclose(np.linalg.norm(mean_curv, axis=1), 1.0, atol=1e-12)  # 1/(2r)
     assert np.allclose(shape_operator_norms(chart, pts), 2.0, atol=1e-12)   # 1/r
 
