@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshTooCoarseError, TensorError
+from .errors import EvaluationError, MeshTooCoarseError, TensorError
 from .geometry import chart_fields, contract, immersion_operator_terms, not_spd
 
 # bytes of per-point values held at once by an assembly block of cells, or
@@ -113,11 +113,14 @@ def _cell_geometry(mesh, cells=slice(None)):
 def _dm_weight(chart, fields):
     """Weight exp(-eta) sqrt(det g) of the measure dm at the points of ``fields``."""
     # np.linalg.det, not det_small: the shipped hemisphere spectra hold
-    # numerically tied pairs whose roundoff-level gaps decide whether
-    # hile_protter is evaluated, so rounding det g differently here changes
-    # the check counts recorded in perfbench/golden.json
+    # numerically tied pairs, so rounding det g differently here moves their
+    # gap-based golden rows by lambda_k / gap times the eigenvalue change
     det = np.linalg.det(fields.g) if chart.dim_n > 1 else fields.g[:, 0, 0]
-    return np.exp(-chart.eta.value(fields.points)) * np.sqrt(det)
+    with np.errstate(over="ignore"):
+        weight = np.exp(-chart.eta.value(fields.points))
+    if not np.all(np.isfinite(weight)):
+        raise EvaluationError("weight exp(-eta) overflows at a quadrature point")
+    return weight * np.sqrt(det)
 
 
 def assemble(chart, mesh, dirichlet=True):

@@ -419,8 +419,9 @@ def intro_comparators(spec, n, k, consts=None, slack=None):
     evaluated on the shifted sequence when constants are supplied, since
     the shift is what maps the weighted/curved problem onto their setting;
     the immersion-aware forms (mean-curvature and drift corrections) use
-    the raw sequence with the supplied constants.  Reports that would
-    divide by a vanishing gap are skipped with a degeneracy note.
+    the raw sequence with the supplied constants.  At an eigenvalue tie the
+    reciprocal-gap bound has an infinite right-hand side and holds, with
+    ratio 0.
     """
     slack = _check_k(spec, k, slack)
     lam = spec.values
@@ -434,13 +435,10 @@ def intro_comparators(spec, n, k, consts=None, slack=None):
     # difference bound
     reports.append(_report("ppw", k, float(v[k] - v[k - 1]),
                            float(4.0 / (n * k) * v[:k].sum()), slack))
-    # reciprocal-gap bound (lower bound; skipped at ties)
-    if v[k] > v[k - 1]:
+    # reciprocal-gap bound: at a tie its right-hand side is +inf and it holds
+    with np.errstate(divide="ignore"):
         reports.append(_report("hile_protter", k, n * k / 4.0,
                                float((v[:k] / (v[k] - v[:k])).sum()), slack))
-    else:
-        reports.append(_skipped("hile_protter", k, slack,
-                                "eigenvalue tie: reciprocal gap undefined"))
     reports.append(_report("yang_first", k, *_quadratic_gap_form(v, n, k), slack))
     reports.append(_report("yang_second", k, *_linear_form(v, n, k), slack))
     disc = _discriminant(v, n, k)

@@ -5,12 +5,11 @@ Two routes are provided and cross-checked against each other:
 * :func:`solve_dense` reduces to a standard symmetric problem through a
   Cholesky factorization of ``B`` (LAPACK, via ``scipy.linalg.eigh``) and is
   the reference oracle on desk-size problems.
-* :func:`solve_sparse` is a shift-invert Lanczos iteration in the B inner
-  product with full reorthogonalization; the sparse factorization of
-  ``A - sigma B`` (symmetric minimum-degree ordering) is reused across
-  iterations.  Deflated sweeps fill the lowest ``k`` pairs;
-  a Sylvester inertia count of ``A - tau B`` then certifies that no copy of
-  a multiple eigenvalue is missing among them.
+* :func:`solve_sparse` is a block shift-invert Lanczos iteration in the B
+  inner product, reorthogonalized by matrix-matrix products, on one sparse
+  factorization of ``A - sigma B``.  Deflated sweeps fill the lowest ``k``
+  pairs; a Sylvester inertia count of ``A - tau B`` certifies that no copy
+  of a multiple eigenvalue is missing among them.
 
 Eigenvectors are B-normalized and sign-fixed (largest-magnitude component
 positive) for reproducible reports.
@@ -30,6 +29,7 @@ from .errors import ConvergenceError, NotSPDError, ParameterError, ShiftError
 
 DENSE_LIMIT = 4000
 DEFAULT_TOL = 1e-8
+RESIDUAL_BYTES = 1 << 20  # per temporary of the residual products
 
 
 @dataclass
@@ -55,36 +55,32 @@ class SpectralResult:
 
 
 def _as_csr(matrix):
-    if isinstance(matrix, SparseSymMatrix):
-        return matrix.to_csr()
-    return sp.csr_matrix(matrix)
+    return matrix.to_csr() if isinstance(matrix, SparseSymMatrix) else sp.csr_matrix(matrix)
 
 
 def _fix_signs(vectors):
-    for row in vectors:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivots = vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
+    vectors *= np.where(pivots < 0, -1.0, 1.0)[:, None]
     return vectors
 
 
 def _relative_residuals(a_csr, b_csr, eigenvalues, vectors):
-    res = np.empty(len(eigenvalues))
-    for i, (lam, vec) in enumerate(zip(eigenvalues, vectors)):
-        bx = b_csr @ vec
-        res[i] = np.linalg.norm(a_csr @ vec - lam * bx) / ((1.0 + abs(lam)) * np.linalg.norm(bx))
-    return res
-
-
-def _empty_result(method, tol):
-    return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), method, 0, tol)
+    """``|A x - lambda B x| / ((1 + |lambda|) |B x|)`` for each row ``x`` of
+    ``vectors``: one sparse product per matrix for each run of rows that
+    fits ``RESIDUAL_BYTES``."""
+    lams, res = np.asarray(eigenvalues, dtype=float), []
+    rows = max(1, RESIDUAL_BYTES // (8 * vectors.shape[1]))
+    for lo in range(0, len(lams), rows):
+        x, lam = vectors[lo:lo + rows].T, lams[lo:lo + rows]
+        bx = b_csr @ x
+        res.append(np.linalg.norm(a_csr @ x - bx * lam, axis=0)
+                   / ((1.0 + np.abs(lam)) * np.linalg.norm(bx, axis=0)))
+    return np.concatenate(res) if res else np.zeros(0)
 
 
 def vertex_fields(result, dof_map):
     """Expand reduced eigenvectors to vertex-value arrays (zeros on boundary)."""
-    nverts = len(dof_map)
-    out = np.zeros((len(result), nverts))
-    interior = dof_map >= 0
+    out, interior = np.zeros((len(result), len(dof_map))), dof_map >= 0
     out[:, interior] = result.vectors[:, dof_map[interior]]
     return out
 
@@ -102,134 +98,139 @@ def solve_dense(a, b, k, tol=DEFAULT_TOL):
     if k > n:
         raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
     if k == 0:
-        return _empty_result("dense", tol)
+        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), "dense", 0, tol)
     try:
         eigenvalues, vectors = sla.eigh(
             a_csr.toarray(), b_csr.toarray(), subset_by_index=[0, k - 1])
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"Cholesky reduction failed: B is not SPD ({exc})") from exc
-    vectors = vectors.T.copy()
     # eigh returns B-orthonormal columns already; renormalize defensively
-    for i, vec in enumerate(vectors):
-        vectors[i] = vec / np.sqrt(vec @ (b_csr @ vec))
+    vectors = (vectors / np.sqrt(np.sum(vectors * (b_csr @ vectors), axis=0))).T.copy()
     _fix_signs(vectors)
     residuals = _relative_residuals(a_csr, b_csr, eigenvalues, vectors)
     return SpectralResult(eigenvalues, vectors, residuals, "dense", 1, tol)
 
 
-INITIAL_ROWS = 32  # starting rows of a sweep's basis buffer; it doubles when full
-
-
-def _b_norm(b_csr, w):
-    """Return the B-norm of ``w`` and ``B w``."""
-    bw = b_csr @ w
-    return float(np.sqrt(np.abs(w @ bw))), bw
+def _block_size(k):
+    """Lanczos block size for ``k`` wanted pairs: a single vector up to
+    k = 49, then one vector per 25 wanted pairs (4 at k = 100)."""
+    return max(1, k // 25)
 
 
 def _project_out(w, qmat, b_csr, deflate):
-    """Two passes of B-orthogonalization against ``qmat`` and the
-    ``(vectors, B vectors)`` deflation pair (or None)."""
+    """``w`` and ``B w`` with the rows of ``w`` B-orthogonalized against the
+    rows of ``qmat`` and the ``(vectors, B vectors)`` pair ``deflate`` (or
+    None) by matrix-matrix products; a second pass only where the first took
+    over 30% of a row's B-norm (Daniel et al., Math. Comp. 30, 1976)."""
+    bw = (b_csr @ w.T).T
     for _ in range(2):
+        before = np.sum(w * bw, axis=1)
         if deflate is not None:
-            w -= deflate[0].T @ (deflate[1] @ w)
+            c = w @ deflate[1].T
+            w -= c @ deflate[0]
+            bw -= c @ deflate[1]
         if len(qmat):
-            w -= qmat.T @ (qmat @ (b_csr @ w))
-    return w
+            w -= (bw @ qmat.T) @ qmat
+            bw = (b_csr @ w.T).T
+        if np.all(np.sum(w * bw, axis=1) > 0.49 * before):
+            return w, bw
+    return w, bw
 
 
-def _fresh_vector(rng, qmat, b_csr, deflate):
-    """A random unit B-norm vector B-orthogonal to ``qmat`` and the
-    deflation set, with its B-image; None if none is left."""
-    w = _project_out(rng.standard_normal(b_csr.shape[0]), qmat, b_csr, deflate)
-    norm, bw = _b_norm(b_csr, w)
-    if norm <= 1e-12:
-        return None
-    return w / norm, bw / norm
+def _orthonormalize(w, bw, floor, fresh):
+    """B-orthonormal ``q``, ``B q`` and upper-triangular ``r``, ``w = r^T q``, by
+    Cholesky QR, or row by row if ill-conditioned: a row adding no direction
+    above ``floor`` gets a zero row of ``r`` and a ``fresh()`` direction."""
+    low, info = sla.lapack.dpotrf(w @ bw.T, lower=True, clean=True)  # r = low^T
+    diag = low.diagonal()
+    if info == 0 and diag.min() > max(floor, 1e-3 * diag.max()):
+        inv = sla.lapack.dtrtri(low, lower=True)[0]
+        return inv @ w, inv @ bw, low.T
+    q, bq, r = np.zeros_like(w), np.zeros_like(bw), np.zeros((len(w), len(w)))
+    for i in range(len(w)):
+        v, bv = w[i], bw[i]
+        for refill in (False, True):
+            for _ in range(2):
+                c = q[:i] @ bv
+                v, bv = v - c @ q[:i], bv - c @ bq[:i]
+                r[:i, i] += 0.0 if refill else c
+            norm = np.sqrt(np.abs(v @ bv))
+            if norm > (1e-12 if refill else floor):
+                q[i], bq[i], r[i, i] = v / norm, bv / norm, 0.0 if refill else norm
+                break
+            v, bv = fresh()
+    return q, bq, r
 
 
 def _ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, qmat):
-    """Ascending Ritz pairs and their residuals from the tridiagonal
-    eigenvector columns ``s_cols`` and eigenvalues ``thetas``.  Descending
-    ``thetas`` give ascending values, so the vectors are only permuted (and
-    copied) when they come in another order."""
-    vecs = s_cols.T @ qmat
-    lams = sigma + 1.0 / thetas
-    idx = np.argsort(lams)
-    if np.any(idx != np.arange(len(idx))):
-        lams, vecs = lams[idx], vecs[idx]
+    """Ascending Ritz pairs and residuals from eigenpairs ``(thetas, s_cols)``
+    of the block tridiagonal matrix, sorted before the vectors are formed."""
+    idx = np.argsort(sigma + 1.0 / thetas)
+    lams, vecs = sigma + 1.0 / thetas[idx], s_cols[:, idx].T @ qmat
     return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
 
 
-def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap):
-    """One B-Lanczos run on (A - sigma B)^-1 B, B-orthogonal to the rows of
-    ``deflate`` (or None), for the lowest ``want`` pairs of the deflated pencil.
-
-    Returns ``(lams, vecs, residuals, steps)`` once they reach ``tol`` or the
-    Krylov space is exhausted (else the last estimates within ``step_cap``
-    steps), or None when the deflation set spans the whole space.  When the
-    convergence estimates pass, the residual of the pair with the largest
-    relative estimate is probed first, and the ``want`` Ritz vectors are only
-    formed if it is within ``tol``.  The basis rows live in one buffer that
-    doubles when full; ``B Q`` is never stored.
-    """
+def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap, p):
+    """One block B-Lanczos run, ``p`` columns per block, on (A - sigma B)^-1 B,
+    B-orthogonal to the rows of ``deflate`` (or None), for the lowest
+    ``want`` pairs: ``(lams, vecs, residuals, columns)`` once they reach
+    ``tol`` or the space is exhausted (else the last estimates within
+    ``step_cap`` columns), None if ``deflate`` spans the space.  When the
+    estimates pass, the pair with the largest relative estimate is probed,
+    and the Ritz vectors are formed only if it is within ``tol``."""
     n = b_csr.shape[0]
     space = n - (0 if deflate is None else len(deflate))
     if space <= 0:
         return None
     if deflate is not None:
         deflate = (deflate, (b_csr @ deflate.T).T)
-    want, steps = min(want, space), min(step_cap, space)
-    basis = np.empty((min(INITIAL_ROWS, steps + 1), n))
-    start = _fresh_vector(rng, basis[:0], b_csr, deflate)
-    if start is None:
+    want, p = min(want, space), min(p, space)
+    blocks = min(step_cap // p, -(-space // p))
+    basis, band = np.empty(((blocks + 1) * p, n)), np.zeros((p + 1, blocks * p))
+
+    def fresh(qmat):  # a random row B-orthogonal to qmat and the deflation set
+        return lambda: [x[0] for x in _project_out(
+            rng.standard_normal((1, n)), qmat, b_csr, deflate)]
+
+    q, bq, _ = _orthonormalize(*_project_out(rng.standard_normal((p, n)), basis[:0],
+                                             b_csr, deflate), 1e-12, fresh(basis[:0]))
+    if not q.any():
         return np.zeros(0), np.zeros((0, n)), np.zeros(0), 0
-    basis[0], bv = start
-    alphas, betas = [], []
-    last = None  # (s columns, thetas, steps) of the latest estimates that passed
-
-    for m in range(1, steps + 1):
-        qmat = basis[:m]
-        w = lu.solve(bv)
-        alphas.append(float(bv @ w))
-        w -= alphas[-1] * qmat[-1]
-        if betas and betas[-1] != 0.0:
-            w -= betas[-1] * qmat[-2]
-        w = _project_out(w, qmat, b_csr, deflate)
-        beta, bw = _b_norm(b_csr, w)
-
-        if m >= want:
-            theta, s = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[:m - 1]))
-            order = np.argsort(theta)[::-1][:want]
-            scale = np.maximum(np.abs(theta[order]), 1e-30)
-            ests = beta * np.abs(s[-1, order])
-            if np.all(ests <= 10.0 * max(tol, 1e-13) * scale) or m == space:
-                last = (s[:, order], theta[order], m)
-                # the pair likeliest to fail; 1.01 absorbs GEMV vs GEMM roundoff
-                j = order[np.argmax(ests / scale)]
-                probe = _relative_residuals(
-                    a_csr, b_csr, [sigma + 1.0 / theta[j]], [s[:, j] @ qmat])[0]
-                if probe <= 1.01 * tol or m == space:
-                    lams, vecs, res = _ritz_pairs(a_csr, b_csr, sigma, *last[:2], qmat)
-                    if np.all(res <= tol) or m == space:
-                        return lams, vecs, res, m
-
-        if beta <= 1e-14 * max(1.0, abs(alphas[-1])):
-            fresh = _fresh_vector(rng, qmat, b_csr, deflate)
-            if fresh is None:
-                break
-            (v, bv), beta = fresh, 0.0
-        else:
-            v, bv = w / beta, bw / beta
-        betas.append(beta)
-        if m == len(basis):
-            grown = np.empty((min(2 * m, steps + 1), n))
-            grown[:m] = basis
-            basis = grown
-        basis[m] = v
-    if last is None:
-        return np.zeros(0), np.zeros((0, n)), np.zeros(0), step_cap
-    s_cols, thetas, m = last
-    return (*_ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, basis[:m]), m)
+    basis[:p] = q
+    last = (np.zeros((blocks * p, 0)), np.zeros(0), blocks * p)  # the last estimates passed
+    rows, cols = np.tril_indices(p)  # a's lower triangle, and r's upper one transposed
+    cadence = max(2, (p + 2) // 3)  # blocks between convergence tests
+    for j in range(blocks):
+        m = (j + 1) * p
+        w = lu.solve(bq.T).T
+        a = bq @ w.T
+        a = 0.5 * (a + a.T)
+        w -= a @ basis[m - p:m]
+        if j:
+            w -= r @ basis[m - 2 * p:m - p]
+        q, bq, r = _orthonormalize(*_project_out(w, basis[:m], b_csr, deflate),
+                                   1e-14 * max(1.0, np.abs(a).max()), fresh(basis[:m]))
+        basis[m:m + p] = q
+        # lower band form: band[d, c] = T[c + d, c], a at T[m-p:m, m-p:m], r below it
+        band[rows - cols, m - p + cols] = a[rows, cols]
+        band[p + cols - rows, m - p + rows] = r[cols, rows]
+        exhausted = m >= space or not q.any()
+        if m < want or not (exhausted or (j + 1) % cadence == 0 or j == blocks - 1):
+            continue
+        theta, s = sla.eig_banded(band[:, :m], lower=True, check_finite=False)
+        theta, s = theta[::-1][:want], s[:, ::-1][:, :want]
+        scale = np.maximum(np.abs(theta), 1e-30)
+        ests = np.linalg.norm(r @ s[-p:], axis=0)
+        if np.all(ests <= 10.0 * max(tol, 1e-13) * scale) or exhausted:
+            last = (s, theta, m)
+            # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
+            i = [np.argmax(ests / scale)]
+            probe = _ritz_pairs(a_csr, b_csr, sigma, s[:, i], theta[i], basis[:m])[2][0]
+            if probe <= 1.01 * tol or exhausted:
+                lams, vecs, res = _ritz_pairs(a_csr, b_csr, sigma, s, theta, basis[:m])
+                if np.all(res <= tol) or exhausted:
+                    return lams, vecs, res, m
+    return (*_ritz_pairs(a_csr, b_csr, sigma, *last[:2], basis[:last[2]]), last[2])
 
 
 def _shift_factor(a_csr, b_csr, sigma):
@@ -259,24 +260,26 @@ def _inertia(a_csr, b_csr, tau):
 
 
 def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
-    """Lowest ``k`` eigenpairs by shift-invert Lanczos in the B inner product.
+    """Lowest ``k`` eigenpairs by block shift-invert Lanczos in the B inner
+    product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
 
-    The factorization of ``A - sigma B`` is computed once and reused for
-    every iteration; it uses a symmetric minimum-degree ordering (SuperLU's
-    ``MMD_AT_PLUS_A``), which suits the symmetric pencil.  The Krylov basis
-    is kept B-orthonormal with full (two-pass) reorthogonalization and is
-    stored once, so a sweep of ``steps`` Lanczos steps on an ``n``-dof
-    pencil holds about ``n * steps * 8`` bytes of basis.  A single-vector
-    Krylov space sees one copy of each eigenvalue, so fill sweeps deflated
-    against the pairs found so far run until there are ``k``.  Then one more
-    factorization, of ``A - tau B`` with ``tau`` just below the k-th value,
-    counts the eigenvalues below ``tau`` by Sylvester's law of inertia; the
-    shift factor is dropped first, so the two are never held at once.  If
-    the pool holds fewer, ``A - sigma B`` is factored again, a fill sweep
-    looks for the missing copies and the count is taken again; an equal
-    count certifies the lowest ``k``, and an uncertified pool is never
-    returned.  Converged pairs satisfy
-    ``|A x - lambda B x| <= tol (1+lambda) |B x|``.
+    ``A - sigma B`` is factored once (SuperLU, symmetric ``MMD_AT_PLUS_A``
+    ordering).  Each step solves for a block of ``p = max(1, k // 25)``
+    columns, B-orthogonalizes it against the whole basis by matrix-matrix
+    products and B-orthonormalizes it by Cholesky QR; convergence is tested
+    every ``max(2, (p + 2) // 3)`` blocks.  The basis is reserved once at the
+    sweep's column cap, ``(cap + p) * n * 8`` bytes of address space, of
+    which the columns used become resident; a refused reservation raises
+    ``MemoryError``.  A block Krylov space sees at most ``p`` copies of an
+    eigenvalue, so fill sweeps deflated against the pairs found so far run
+    until there are ``k``.  Then the negative pivots of an
+    ``LDL^T`` factorization of ``A - tau B``, ``tau`` just below the k-th
+    value, count the eigenvalues below ``tau`` (Sylvester's law of inertia;
+    the shift factor is dropped first).  If the pool holds fewer, a fill
+    sweep looks for the missing copies and the count is taken again; an
+    uncertified pool is never returned.  Converged pairs satisfy
+    ``|A x - lambda B x| <= tol (1+lambda) |B x|``; ``iterations`` counts
+    the Krylov columns, one triangular solve each.
 
     Parameters
     ----------
@@ -285,27 +288,23 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     sigma : shift below the smallest eigenvalue (0 is always valid for the
         Dirichlet pencil)
     tol : relative residual tolerance
-    maxiter : total Lanczos step cap, default ``50 * k``
+    maxiter : total Krylov column cap, default ``50 * k``
     """
     a_csr, b_csr = _as_csr(a), _as_csr(b)
     n = a_csr.shape[0]
     if k > n:
         raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
     if k == 0:
-        return _empty_result("sparse", tol)
+        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), "sparse", 0, tol)
     maxiter = 50 * k if maxiter is None else maxiter
-
-    lu = _shift_factor(a_csr, b_csr, sigma)
-    rng = np.random.default_rng(seed)
+    p, lu, rng = _block_size(k), _shift_factor(a_csr, b_csr, sigma), np.random.default_rng(seed)
     pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
     while True:
         want = k - len(pool_lams)
         if want <= 0:
             order = np.argsort(pool_lams)[:k]
-            pool_lams = [pool_lams[i] for i in order]
-            pool_vecs = [pool_vecs[i] for i in order]
-            tau = pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))
-            lu = None
+            pool_lams, pool_vecs = [pool_lams[i] for i in order], [pool_vecs[i] for i in order]
+            lu, tau = None, pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))
             want = _inertia(a_csr, b_csr, tau) - int(np.searchsorted(pool_lams, tau))
             if want == 0:
                 break  # no copy is missing below the k-th: certified
@@ -319,23 +318,20 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
             lu = _shift_factor(a_csr, b_csr, sigma)
         sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng,
                                np.array(pool_vecs) if pool_vecs else None,
-                               want, maxiter - steps_used)
+                               want, maxiter - steps_used, min(p, maxiter - steps_used))
         if sweep is None:
             break  # the pool spans the whole space
         lams, vecs, res, steps = sweep
         steps_used += max(steps, 1)
-        if len(lams):
-            best_residuals = res
-            for lam, vec, ok in zip(lams, vecs, res <= tol):
-                if ok:  # B-normalized in place: the pool holds rows of the sweep's block
-                    vec /= np.sqrt(np.abs(vec @ (b_csr @ vec)))
-                    pool_lams.append(float(lam))
-                    pool_vecs.append(vec)
+        best_residuals = res if len(lams) else best_residuals
+        for lam, vec, ok in zip(lams, vecs, res <= tol):
+            if ok:  # B-normalized in place: the pool holds rows of the sweep's block
+                vec /= np.sqrt(np.abs(vec @ (b_csr @ vec)))
+                pool_lams.append(float(lam))
+                pool_vecs.append(vec)
 
-    if want == 0:
-        order = np.argsort(pool_lams)[:k]
-        lams = np.array([pool_lams[i] for i in order])
-        vecs = _fix_signs(np.array([pool_vecs[i] for i in order]))
+    if want == 0:  # the pool is the ascending lowest k
+        lams, vecs = np.array(pool_lams), _fix_signs(np.array(pool_vecs))
         res = _relative_residuals(a_csr, b_csr, lams, vecs)
         if np.all(res <= tol):
             return SpectralResult(lams, vecs, res, "sparse", steps_used, tol)

@@ -505,7 +505,7 @@ def contract(spec, *operands):
     operand slices multiplied in operand order.  ``np.einsum`` is kept for
     diagonals and where it sums otherwise (``pij,pji->p``, ``pij,pkij->pk``,
     ``pbk,pk->pb``, ``pk,pk->p``): the shipped hemispheres hold roundoff-tied
-    eigenvalues, so a last-digit change can flip which checks are evaluated.
+    eigenvalues, whose gap-based checks scale a last-digit change by 1e15.
     """
     inputs, output = spec.split("->")
     inputs = inputs.split(",")

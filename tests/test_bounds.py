@@ -351,9 +351,26 @@ def test_comparators_interval_ppw():
 def test_comparators_constant_sequence():
     spec = Spectrum([5.0] * 6, 2, "synthetic")
     reports = {r.name: r for r in intro_comparators(spec, 2, 3)}
-    assert reports["hile_protter"].skipped
+    hile_protter = reports["hile_protter"]
+    assert not hile_protter.skipped and hile_protter.holds
+    assert hile_protter.rhs == math.inf and hile_protter.ratio == 0.0
     for name in ("ppw", "yang_first", "yang_gap"):
         assert reports[name].lhs == 0.0 and reports[name].holds
+
+
+@pytest.mark.parametrize("consts", [None, "shifted"])
+def test_comparators_same_verdicts_at_a_tie_and_one_ulp_apart(consts):
+    # a tie decided by roundoff must not decide whether a row is evaluated
+    values = np.array([2.0, 5.0, 5.0, 8.0, 8.0, 13.0])
+    split = values.copy()
+    split[[2, 4]] = np.nextafter(split[[2, 4]], np.inf)
+    if consts is not None:
+        consts = zero_consts(vol_omega=1.0)
+    for k in range(1, 5):
+        tied, apart = (intro_comparators(Spectrum(v, 2, "synthetic"), 2, k, consts=consts)
+                       for v in (values, split))
+        assert [(r.name, r.skipped, r.holds) for r in tied] == \
+            [(r.name, r.skipped, r.holds) for r in apart], k
 
 
 def test_comparators_all_hold_on_closed_forms():

@@ -161,6 +161,18 @@ def test_unexpected_exception_gives_exit_two_and_manifest(tmp_path, capsys, monk
     assert f"error {message}" in manifest
 
 
+def test_overflowing_weight_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # exp(-eta) overflows where eta = -1000: an error, not numpy warnings
+    text = SMALL_CONFIG.replace("eta.kind = zero", "eta.kind = expr\neta.expr = -1e3 + x")
+    monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", _write(tmp_path, "smoke.cfg", text)]) == 2
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["EvaluationError: weight exp(-eta) overflows at a quadrature point"]
+
+
 def test_verify_writes_nothing(tmp_path, capsys):
     cfg = _write(tmp_path, "smoke.cfg", SMALL_CONFIG)
     workdir = tmp_path / "verify_out"

@@ -13,7 +13,7 @@ from spectralab.assembly import assemble
 from spectralab.cli import main
 from spectralab.eigensolve import (
     DENSE_LIMIT,
-    INITIAL_ROWS,
+    _block_size,
     _inertia,
     _relative_residuals,
     _ritz_pairs,
@@ -81,15 +81,14 @@ def test_sparse_matches_dense(chart_id, params, eta, res):
     _assert_sparse_matches_dense(a_mat, b_mat, 10)
 
 
-def test_sparse_matches_dense_past_initial_basis_buffer():
-    # k = 60 needs more Lanczos steps than the basis buffer starts with,
-    # so the buffer must grow at least once while the sweep runs
+def test_block_sweep_matches_dense():
+    # k = 60 runs the sweep on blocks of more than one vector
     chart = make_chart("flat_rectangle")
     mesh = build_structured(chart.domain, 40)
     a_mat, b_mat, _ = assemble(chart, mesh)
     assert a_mat.dim == 1521
     k = 60
-    assert k > INITIAL_ROWS
+    assert _block_size(k) > 1
     _assert_sparse_matches_dense(a_mat, b_mat, k)
 
 
@@ -102,6 +101,38 @@ def test_sparse_matches_eigsh_above_dense_limit():
     sparse = solve_sparse(a_mat, b_mat, 13)
     ref = np.sort(spla.eigsh(a_csr, 13, M=b_csr, sigma=0, return_eigenvectors=False))
     assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
+
+
+class _CountingLU:
+    """A factor that records the column count of every right-hand side."""
+
+    def __init__(self, lu, columns):
+        self._lu, self._columns = lu, columns
+
+    def solve(self, rhs):
+        self._columns.append(rhs.shape[1])
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_block_sweep_matches_eigsh_above_dense_limit(monkeypatch):
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 80))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    assert a.shape[0] == 6241 > DENSE_LIMIT
+    k = 50
+    assert _block_size(k) == 2
+    columns = []
+    monkeypatch.setattr(eigensolve, "spla", types.SimpleNamespace(
+        splu=lambda *args, **kwargs: _CountingLU(spla.splu(*args, **kwargs), columns)))
+    sparse = solve_sparse(a, b, k)
+    ref = np.sort(spla.eigsh(a, k, M=b, sigma=0, return_eigenvectors=False))
+    assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
+    # every triangular solve takes one block, and iterations counts its columns
+    assert set(columns) == {2}
+    assert sparse.iterations == sum(columns)
 
 
 def test_square_symmetry_pairs():
@@ -271,26 +302,38 @@ def _count_sweeps(monkeypatch):
     return sweeps
 
 
+def _block_sizes(monkeypatch, sizes):
+    """Run the loop body once per Lanczos block size in ``sizes``."""
+    for p in sizes:
+        monkeypatch.setattr(eigensolve, "_block_size", lambda k, p=p: p)
+        yield p
+
+
 def test_simple_spectrum_needs_one_sweep(monkeypatch):
     chart = make_chart("flat_interval")
     a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 300))
     sweeps = _count_sweeps(monkeypatch)
-    sparse = solve_sparse(a_mat, b_mat, 10)
-    assert len(sweeps) == 1
     dense = solve_dense(a_mat, b_mat, 10)
-    assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-8
+    for p in _block_sizes(monkeypatch, [_block_size(10), 3]):
+        sweeps.clear()
+        sparse = solve_sparse(a_mat, b_mat, 10)
+        assert len(sweeps) == 1, p
+        assert np.max(np.abs(sparse.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-8
 
 
 def test_fivefold_copies_missed_by_the_fill_sweep_are_completed(monkeypatch):
+    # a block of p vectors sees at most p copies, fewer than five here
     a, b = _diag_problem([1.0] * 5 + [float(v) for v in range(2, 42)])
     sweeps = _count_sweeps(monkeypatch)
-    result = solve_sparse(a, b, 7)
-    assert np.allclose(result.eigenvalues, [1.0] * 5 + [2.0, 3.0], rtol=0, atol=1e-10)
-    first = sweeps[0][1][0]
-    assert len(first) == 7 and np.sum(np.abs(first - 1.0) <= 1e-10) < 5
-    assert len(sweeps) > 1
-    gram = result.vectors @ (b @ result.vectors.T)
-    assert np.abs(gram - np.eye(7)).max() <= 1e-8
+    for p in _block_sizes(monkeypatch, [_block_size(7), 2]):
+        sweeps.clear()
+        result = solve_sparse(a, b, 7)
+        assert np.allclose(result.eigenvalues, [1.0] * 5 + [2.0, 3.0], rtol=0, atol=1e-10)
+        first = sweeps[0][1][0]
+        assert len(first) == 7 and np.sum(np.abs(first - 1.0) <= 1e-10) < 5, p
+        assert len(sweeps) > 1
+        gram = result.vectors @ (b @ result.vectors.T)
+        assert np.abs(gram - np.eye(7)).max() <= 1e-8
 
 
 class _PivotedLU:
@@ -349,6 +392,30 @@ def test_inertia_failure_is_a_convergence_error(tmp_path, capsys, monkeypatch, f
     assert "status incomplete" in manifest
 
 
+class _RefusingNumpy:
+    """numpy with an ``empty`` that fails as a refused reservation does."""
+
+    def empty(self, shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate basis of shape {shape}")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_refused_basis_allocation_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(eigensolve, "np", _RefusingNumpy())
+    cfg = tmp_path / "inertia.cfg"
+    cfg.write_text(INERTIA_CONFIG)
+    monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    # one line, in the form of every module error of a run
+    assert len(err) == 1 and err[0].startswith("MemoryError: Unable to allocate basis")
+    manifest = (tmp_path / "out" / "inertia" / "MANIFEST").read_text().splitlines()
+    assert "status incomplete" in manifest
+    assert any(line.startswith("error MemoryError: ") for line in manifest)
+
+
 def test_sparse_matches_eigsh_with_multiplicities_above_dense_limit():
     a, b = _hemisphere(32)
     assert a.shape[0] == 5953 > DENSE_LIMIT
@@ -374,18 +441,22 @@ def test_step_capped_fill_sweep_reports_its_last_pairs(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_relative_residuals", residuals)
     sweeps = _count_sweeps(monkeypatch)
-    with pytest.raises(ConvergenceError) as excinfo:
-        solve_sparse(a, b, 10, maxiter=39)
-    assert len(sweeps) == 1 and sweeps[0][0] == 10
-    lams, vecs, res, steps = sweeps[0][1]
-    # the estimates passed at the capped step, but the probed residual did
-    # not, so the returned pairs were formed only after the sweep ended
-    assert steps == 39
-    assert probes and probes[-1] > 1.01 * 1e-8
-    best = excinfo.value.best_residuals
-    assert len(best) == 10
-    assert np.array_equal(best, res)
-    assert np.array_equal(best, _relative_residuals(a, b, lams, vecs))
+    # caps where the estimates pass at the last block but the probe does not
+    for p, cap in zip(_block_sizes(monkeypatch, [_block_size(10), 2]), [39, 50]):
+        sweeps.clear()
+        probes.clear()
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_sparse(a, b, 10, maxiter=cap)
+        assert len(sweeps) == 1 and sweeps[0][0] == 10
+        lams, vecs, res, steps = sweeps[0][1]
+        # the estimates passed at the capped step, but the probed residual did
+        # not, so the returned pairs were formed only after the sweep ended
+        assert steps == cap
+        assert probes and probes[-1] > 1.01 * 1e-8, p
+        best = excinfo.value.best_residuals
+        assert len(best) == 10
+        assert np.array_equal(best, res)
+        assert np.array_equal(best, _relative_residuals(a, b, lams, vecs))
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1], [3, 2, 1, 0]],
