@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EvaluationError, MeshTooCoarseError, TensorError
-from .geometry import chart_fields, contract, immersion_operator_terms, not_spd
+from .geometry import chart_fields, contract, det_small, immersion_operator_terms, not_spd
 
 # bytes of per-point values held at once by an assembly block of cells, or
 # by a block of the check integrals with its eigenfunction values; it bounds
@@ -112,15 +112,11 @@ def _cell_geometry(mesh, cells=slice(None)):
 
 def _dm_weight(chart, fields):
     """Weight exp(-eta) sqrt(det g) of the measure dm at the points of ``fields``."""
-    # np.linalg.det, not det_small: the shipped hemisphere spectra hold
-    # numerically tied pairs, so rounding det g differently here moves their
-    # gap-based golden rows by lambda_k / gap times the eigenvalue change
-    det = np.linalg.det(fields.g) if chart.dim_n > 1 else fields.g[:, 0, 0]
     with np.errstate(over="ignore"):
         weight = np.exp(-chart.eta.value(fields.points))
     if not np.all(np.isfinite(weight)):
         raise EvaluationError("weight exp(-eta) overflows at a quadrature point")
-    return weight * np.sqrt(det)
+    return weight * np.sqrt(det_small(fields.g))
 
 
 def assemble(chart, mesh, dirichlet=True):
@@ -277,7 +273,7 @@ def _block_integrals(chart, mesh, cells, values):
     w = contract("pa,pab,pbj->pj", tangential, fields.g, fields.k)
     sums[2 + m] = dm @ (u * at_points(directional(w)))
     square = (normal ** 2).sum(axis=1) + contract("pab,pa,pb->p", fields.g, tangential, tangential)
-    u_fields = [np.einsum("pij,pji->p", fields.ginv, fields.t), square]
+    u_fields = [contract("pij,pji->p", fields.ginv, fields.t), square]
     for axis in range(m):
         grad_h = fields.jac[:, axis, :]
         k_grad_h = contract("pij,pj->pi", fields.k, grad_h)

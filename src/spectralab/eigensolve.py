@@ -29,6 +29,7 @@ from .errors import ConvergenceError, NotSPDError, ParameterError, ShiftError
 
 DENSE_LIMIT = 4000
 DEFAULT_TOL = 1e-8
+SEED = 1234  # of the random start blocks
 RESIDUAL_BYTES = 1 << 20  # per temporary of the residual products
 
 
@@ -45,9 +46,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    method: str
     iterations: int
-    tolerance: float
     vertex_values: np.ndarray = None
 
     def __len__(self):
@@ -85,7 +84,7 @@ def vertex_fields(result, dof_map):
     return out
 
 
-def solve_dense(a, b, k, tol=DEFAULT_TOL):
+def solve_dense(a, b, k):
     """Lowest ``k`` eigenpairs via Cholesky reduction and LAPACK (the oracle).
 
     Requires the pencil dimension to be at most 4000 and ``B`` to be
@@ -98,7 +97,7 @@ def solve_dense(a, b, k, tol=DEFAULT_TOL):
     if k > n:
         raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
     if k == 0:
-        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), "dense", 0, tol)
+        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
     try:
         eigenvalues, vectors = sla.eigh(
             a_csr.toarray(), b_csr.toarray(), subset_by_index=[0, k - 1])
@@ -108,7 +107,7 @@ def solve_dense(a, b, k, tol=DEFAULT_TOL):
     vectors = (vectors / np.sqrt(np.sum(vectors * (b_csr @ vectors), axis=0))).T.copy()
     _fix_signs(vectors)
     residuals = _relative_residuals(a_csr, b_csr, eigenvalues, vectors)
-    return SpectralResult(eigenvalues, vectors, residuals, "dense", 1, tol)
+    return SpectralResult(eigenvalues, vectors, residuals, 1)
 
 
 def _block_size(k):
@@ -170,14 +169,14 @@ def _ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, qmat):
     return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
 
 
-def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap, p):
+def _lanczos_sweep(lu, a_csr, b_csr, sigma, rng, deflate, want, step_cap, p):
     """One block B-Lanczos run, ``p`` columns per block, on (A - sigma B)^-1 B,
     B-orthogonal to the rows of ``deflate`` (or None), for the lowest
     ``want`` pairs: ``(lams, vecs, residuals, columns)`` once they reach
-    ``tol`` or the space is exhausted (else the last estimates within
+    ``DEFAULT_TOL`` or the space is exhausted (else the last estimates within
     ``step_cap`` columns), None if ``deflate`` spans the space.  When the
     estimates pass, the pair with the largest relative estimate is probed,
-    and the Ritz vectors are formed only if it is within ``tol``."""
+    and the Ritz vectors are formed only if it is within ``DEFAULT_TOL``."""
     n = b_csr.shape[0]
     space = n - (0 if deflate is None else len(deflate))
     if space <= 0:
@@ -221,14 +220,14 @@ def _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng, deflate, want, step_cap, p
         theta, s = theta[::-1][:want], s[:, ::-1][:, :want]
         scale = np.maximum(np.abs(theta), 1e-30)
         ests = np.linalg.norm(r @ s[-p:], axis=0)
-        if np.all(ests <= 10.0 * max(tol, 1e-13) * scale) or exhausted:
+        if np.all(ests <= 10.0 * DEFAULT_TOL * scale) or exhausted:
             last = (s, theta, m)
             # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
             i = [np.argmax(ests / scale)]
             probe = _ritz_pairs(a_csr, b_csr, sigma, s[:, i], theta[i], basis[:m])[2][0]
-            if probe <= 1.01 * tol or exhausted:
+            if probe <= 1.01 * DEFAULT_TOL or exhausted:
                 lams, vecs, res = _ritz_pairs(a_csr, b_csr, sigma, s, theta, basis[:m])
-                if np.all(res <= tol) or exhausted:
+                if np.all(res <= DEFAULT_TOL) or exhausted:
                     return lams, vecs, res, m
     return (*_ritz_pairs(a_csr, b_csr, sigma, *last[:2], basis[:last[2]]), last[2])
 
@@ -259,7 +258,7 @@ def _inertia(a_csr, b_csr, tau):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
+def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
     """Lowest ``k`` eigenpairs by block shift-invert Lanczos in the B inner
     product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
 
@@ -278,7 +277,7 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     the shift factor is dropped first).  If the pool holds fewer, a fill
     sweep looks for the missing copies and the count is taken again; an
     uncertified pool is never returned.  Converged pairs satisfy
-    ``|A x - lambda B x| <= tol (1+lambda) |B x|``; ``iterations`` counts
+    ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|``; ``iterations`` counts
     the Krylov columns, one triangular solve each.
 
     Parameters
@@ -287,7 +286,6 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     k : number of eigenpairs
     sigma : shift below the smallest eigenvalue (0 is always valid for the
         Dirichlet pencil)
-    tol : relative residual tolerance
     maxiter : total Krylov column cap, default ``50 * k``
     """
     a_csr, b_csr = _as_csr(a), _as_csr(b)
@@ -295,16 +293,16 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     if k > n:
         raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
     if k == 0:
-        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), "sparse", 0, tol)
+        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
     maxiter = 50 * k if maxiter is None else maxiter
-    p, lu, rng = _block_size(k), _shift_factor(a_csr, b_csr, sigma), np.random.default_rng(seed)
+    p, lu, rng = _block_size(k), _shift_factor(a_csr, b_csr, sigma), np.random.default_rng(SEED)
     pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
     while True:
         want = k - len(pool_lams)
         if want <= 0:
             order = np.argsort(pool_lams)[:k]
             pool_lams, pool_vecs = [pool_lams[i] for i in order], [pool_vecs[i] for i in order]
-            lu, tau = None, pool_lams[-1] - 10.0 * tol * (1.0 + abs(pool_lams[-1]))
+            lu, tau = None, pool_lams[-1] - 10.0 * DEFAULT_TOL * (1.0 + abs(pool_lams[-1]))
             want = _inertia(a_csr, b_csr, tau) - int(np.searchsorted(pool_lams, tau))
             if want == 0:
                 break  # no copy is missing below the k-th: certified
@@ -316,7 +314,7 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
             break
         if lu is None:  # the count found copies missing
             lu = _shift_factor(a_csr, b_csr, sigma)
-        sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, tol, rng,
+        sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, rng,
                                np.array(pool_vecs) if pool_vecs else None,
                                want, maxiter - steps_used, min(p, maxiter - steps_used))
         if sweep is None:
@@ -324,7 +322,7 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
         lams, vecs, res, steps = sweep
         steps_used += max(steps, 1)
         best_residuals = res if len(lams) else best_residuals
-        for lam, vec, ok in zip(lams, vecs, res <= tol):
+        for lam, vec, ok in zip(lams, vecs, res <= DEFAULT_TOL):
             if ok:  # B-normalized in place: the pool holds rows of the sweep's block
                 vec /= np.sqrt(np.abs(vec @ (b_csr @ vec)))
                 pool_lams.append(float(lam))
@@ -333,8 +331,8 @@ def solve_sparse(a, b, k, sigma=0.0, tol=DEFAULT_TOL, maxiter=None, seed=1234):
     if want == 0:  # the pool is the ascending lowest k
         lams, vecs = np.array(pool_lams), _fix_signs(np.array(pool_vecs))
         res = _relative_residuals(a_csr, b_csr, lams, vecs)
-        if np.all(res <= tol):
-            return SpectralResult(lams, vecs, res, "sparse", steps_used, tol)
+        if np.all(res <= DEFAULT_TOL):
+            return SpectralResult(lams, vecs, res, steps_used)
     raise ConvergenceError(
         f"Lanczos did not converge within {maxiter} iterations",
         best_residuals=best_residuals)

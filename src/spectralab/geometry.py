@@ -497,15 +497,11 @@ class Chart:
 
 
 def contract(spec, *operands):
-    """``np.einsum(spec, *operands)`` bit for bit, for a leading batch label
-    and small other labels, without einsum's per-element loop overhead.
+    """NumPy's ``einsum(spec, *operands)`` for a leading batch label and small
+    other labels, as one vectorized multiply-add over the batch per term.
 
-    Each output entry starts from 0.0 and adds its terms in einsum's order:
-    summed labels by first appearance, the last fastest, each term the
-    operand slices multiplied in operand order.  ``np.einsum`` is kept for
-    diagonals and where it sums otherwise (``pij,pji->p``, ``pij,pkij->pk``,
-    ``pbk,pk->pb``, ``pk,pk->p``): the shipped hemispheres hold roundoff-tied
-    eigenvalues, whose gap-based checks scale a last-digit change by 1e15.
+    Agrees with einsum to roundoff, not bit for bit; on these tiny per-point
+    matrices it beats both einsum and batched ``@`` (timings in the README).
     """
     inputs, output = spec.split("->")
     inputs = inputs.split(",")
@@ -537,7 +533,7 @@ def _gram(jac):
     """Gram product g = jac^T jac of Jacobians ``(N, m, n)``, checked as in :func:`metric`."""
     g = contract("pai,paj->pij", jac, jac)
     n = g.shape[-1]
-    scale = np.einsum("pii->p", g) / n
+    scale = contract("pii->p", g) / n
     if np.any(det_small(g) <= DEGENERACY_TOL * scale ** n):
         raise DegeneracyError("degenerate immersion: det g below tolerance")
     return g
@@ -625,8 +621,9 @@ def second_fundamental_form(chart, fields):
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
-    by Gram-Schmidt over the ambient basis in fixed order, so it is
-    deterministic; for ``m == n`` all outputs are empty/zero.
+    by Gram-Schmidt over the columns of the normal projection
+    ``P = I - J g^-1 J^T`` in fixed order, so it is deterministic and does
+    not depend on the scale of ``J``; for ``m == n`` all outputs are empty/zero.
     """
     npts = fields.points.shape[0]
     n, m = chart.dim_n, chart.dim_m
@@ -634,20 +631,16 @@ def second_fundamental_form(chart, fields):
     if codim == 0:
         return (np.zeros((npts, 0, m)), np.zeros((npts, 0, n, n)), np.zeros((npts, m)))
 
-    q, r = np.linalg.qr(fields.jac)
-    diag = np.abs(np.einsum("pii->pi", r))
-    if np.any(diag.min(axis=1) <= DEGENERACY_TOL * (1.0 + diag.max(axis=1))):
-        raise DegeneracyError("rank-deficient tangent space")
-
+    # J g^-1 first: two two-operand products take 2/3 the time of one three-operand
+    jac_ginv = contract("pia,pab->pib", fields.jac, fields.ginv)
+    proj = np.eye(m) - contract("paj,pbj->pab", jac_ginv, fields.jac)
     frames = np.zeros((npts, codim, m))
     count = np.zeros(npts, dtype=int)
     for a in range(m):
-        w = np.zeros((npts, m))
-        w[:, a] = 1.0
-        w -= np.einsum("pbk,pk->pb", q, q[:, a, :])
+        w = proj[:, :, a].copy()
         # subtract projections on already accepted normals
         for slot in range(codim):
-            coef = np.einsum("pk,pk->p", frames[:, slot, :], w)
+            coef = contract("pk,pk->p", frames[:, slot, :], w)
             w -= coef[:, None] * frames[:, slot, :]
         norm = np.linalg.norm(w, axis=1)
         accept = (norm > 1e-10) & (count < codim)
@@ -660,7 +653,7 @@ def second_fundamental_form(chart, fields):
 
     hess = chart.immersion.hessian(fields.points)
     alpha = contract("pka,paij->pkij", frames, hess)
-    trace = np.einsum("pij,pkij->pk", fields.ginv, alpha)
+    trace = contract("pij,pkij->pk", fields.ginv, alpha)
     mean_curv = contract("pk,pka->pa", trace, frames) / n
     return frames, alpha, mean_curv
 
@@ -809,7 +802,7 @@ def immersion_operator_terms(chart, fields):
     frames, alpha, _ = second_fundamental_form(chart, fields)
     trace_grad, _ = trace_grad_tensor(chart, fields)
     tangential = trace_grad - contract("pij,pj->pi", fields.k, chart.eta.gradient(fields.points))
-    normal = np.einsum("pij,pkij->pk", fields.k, alpha)
+    normal = contract("pij,pkij->pk", fields.k, alpha)
     lx = (contract("pk,pka->pa", normal, frames)
           + contract("pai,pi->pa", fields.jac, tangential))
     return lx, normal, tangential
@@ -857,8 +850,8 @@ def compute_constants(chart, resolution):
         a0 = 0.0
 
     ginv_t = contract("pia,pab->pib", fields.ginv, fields.t)
-    t_star = float(np.sqrt(np.maximum(np.einsum("pij,pji->p", ginv_t, ginv_t), 0.0)).max())
-    tr_t = np.einsum("pij,pji->p", fields.ginv, fields.t)
+    t_star = float(np.sqrt(np.maximum(contract("pij,pji->p", ginv_t, ginv_t), 0.0)).max())
+    tr_t = contract("pij,pji->p", fields.ginv, fields.t)
     t0 = float(trace_grad_tensor(chart, fields)[1].max())
 
     qnodes = max(resolution, 16)

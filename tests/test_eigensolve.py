@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import types
 
@@ -295,7 +296,8 @@ def _count_sweeps(monkeypatch):
 
     def counted(*args):
         result = sweep(*args)
-        sweeps.append((args[7], copy.deepcopy(result)))
+        want = inspect.signature(sweep).bind(*args).arguments["want"]
+        sweeps.append((want, copy.deepcopy(result)))
         return result
 
     monkeypatch.setattr(eigensolve, "_lanczos_sweep", counted)

@@ -44,3 +44,18 @@ def test_rerecord_rewrites_changed_flags_and_new_rows(tmp_path):
     record(_snapshot([19.7, 49.3], rows), path)
     saved = json.loads(path.read_text())["square"]
     assert saved == {"eigenvalues": {"4": [19.7, 49.3]}, "reports": rows}
+
+
+def test_rerecord_prints_each_rewritten_row(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    record(_snapshot([19.7], ROWS), path)
+    assert capsys.readouterr().out == ""  # nothing recorded before: nothing rewritten
+    rows = [[*ROWS[0][:5], False, False], ROWS[1], [*ROWS[2][:2], 3.5, *ROWS[2][3:]]]
+    record(_snapshot([19.7], rows), path)
+    assert capsys.readouterr().out.splitlines() == [
+        "square thm_drift k=1 moved 0.0e+00 holds True -> False",
+        "square yang_gap k=2 moved 7.7e-02"]
+    record(_snapshot([19.7], [ROWS[0], [*ROWS[1][:3], 2.0, *ROWS[1][4:]], *rows[2:]]), path)
+    assert capsys.readouterr().out.splitlines() == [
+        "square thm_drift k=1 moved 0.0e+00 holds False -> True",
+        "square ppw k=2 moved inf"]
