@@ -17,7 +17,6 @@ from .geometry import (
     make_chart,
     make_eta,
     make_tensor,
-    metric,
     omega_n,
     second_fundamental_form,
 )
@@ -26,12 +25,10 @@ from .assembly import SparseSymMatrix, assemble, EigenfunctionQuadrature
 from .eigensolve import SpectralResult, solve_dense, solve_sparse, vertex_fields
 from .bounds import (
     BoundReport,
-    RecursionState,
     Spectrum,
     check_cheng_yang_type,
     check_corollary_trio,
     check_polya_type,
-    check_proposition_testfunction,
     check_thm_drift,
     check_thm_tensor,
     intro_comparators,
@@ -50,14 +47,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHARTS", "Chart", "Disk", "GeometricConstants", "Rectangle",
-    "compute_constants", "make_chart", "make_eta", "make_tensor", "metric",
+    "compute_constants", "make_chart", "make_eta", "make_tensor",
     "omega_n", "second_fundamental_form",
     "Mesh", "build_structured",
     "SparseSymMatrix", "assemble", "EigenfunctionQuadrature",
     "SpectralResult", "solve_dense", "solve_sparse", "vertex_fields",
-    "BoundReport", "RecursionState", "Spectrum",
+    "BoundReport", "Spectrum",
     "check_cheng_yang_type", "check_corollary_trio", "check_polya_type",
-    "check_proposition_testfunction", "check_thm_drift", "check_thm_tensor",
+    "check_thm_drift", "check_thm_tensor",
     "intro_comparators", "lemma_c_bound", "proposition_reports",
     "recursion_constant", "recursion_lemma",
     "upsilon_shift", "shift_constant", "weyl_constant", "weyl_fit",

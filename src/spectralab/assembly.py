@@ -171,8 +171,10 @@ def assemble(chart, mesh, dirichlet=True):
 
 def _point_bytes(chart):
     """Bytes per point an assembly block holds at once: the Jacobian, g, g^-1,
-    T and K with their contraction temporaries, and a few scalars."""
-    return 8 * (chart.dim_m * chart.dim_n + 6 * chart.dim_n ** 2 + 10)
+    T and K, and 24 scalars (the cell geometry, the dm weights, the element
+    matrices and the temporaries of the positive-definiteness test, which
+    runs last with all of them live)."""
+    return 8 * (chart.dim_m * chart.dim_n + 4 * chart.dim_n ** 2 + 24)
 
 
 def _element_entries(chart, mesh, cells, upper):

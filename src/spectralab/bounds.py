@@ -4,8 +4,8 @@ Every checker takes an ascending positive :class:`Spectrum` (computed,
 closed-form or synthetic) and returns one or more :class:`BoundReport`
 records with the raw left/right-hand sides, the verdict under a relative
 slack, and a digest of the constants that entered.  Verdicts use slack
-1e-9 on closed-form/synthetic spectra and 1e-6 on computed spectra, so no
-verdict hides its margin.
+1e-9 on closed-form/synthetic spectra and at least 1e-6 on computed
+spectra, so no verdict hides its margin.
 
 Conventions: within a check, ``lhs <= rhs`` is the asserted inequality
 (lower bounds are reported with the bound on the left), ``Lambda_i``
@@ -94,15 +94,11 @@ def _skipped(name, k, slack, note, inputs=None):
                        note=note, skipped=True, inputs=dict(inputs or {}))
 
 
-def _check_k(spec, k, slack):
+def _check_k(spec, k):
     """Validate k against the spectrum; return the slack to use."""
     if k < 1 or k + 1 > len(spec):
         raise ParameterError(f"k={k} needs at least k+1={k + 1} eigenvalues, have {len(spec)}")
-    return _slack(spec, slack)
-
-
-def _slack(spec, slack):
-    return spec.default_slack if slack is None else slack
+    return spec.default_slack
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +171,12 @@ def upsilon_shift(spec, consts):
 # main theorems
 # ---------------------------------------------------------------------------
 
-def check_thm_drift(spec, consts, k, slack=None):
+def check_thm_drift(spec, consts, k):
     """Quadratic gap bound for the drifting Laplacian with curvature shift:
 
     sum (L_i)^2 <= (4/n) sum L_i (lambda_i + shift),  L_i = lambda_{k+1} - lambda_i.
     """
-    slack = _check_k(spec, k, slack)
+    slack = _check_k(spec, k)
     shift = shift_constant(consts)
     lhs, rhs = _quadratic_gap_form(spec.values, spec.n, k, offset=shift)
     return _report("thm_drift", k, lhs, rhs, slack,
@@ -188,7 +184,7 @@ def check_thm_drift(spec, consts, k, slack=None):
                            "eta_bar0": consts.eta_bar0})
 
 
-def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
+def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None):
     """Gap bound for the general coefficient tensor.
 
     ``inf_trace`` uses the conservative constant form
@@ -198,7 +194,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
     divergence and cross terms under element quadrature), which requires a
     quadrature context holding the eigenfunctions.
     """
-    slack = _check_k(spec, k, slack)
+    slack = _check_k(spec, k)
     lam = spec.values
     gaps = lam[k] - lam[:k]
     if mode == "inf_trace":
@@ -227,7 +223,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None, slack=None):
 # corollaries on the shifted spectrum
 # ---------------------------------------------------------------------------
 
-def check_corollary_trio(shifted, k, slack=None):
+def check_corollary_trio(shifted, k):
     """Three consequences of the Yang-form inequality for the shifted sequence.
 
     (i) second-Yang bound, (ii) quadratic-root bound, (iii) gap bound.  A
@@ -235,7 +231,7 @@ def check_corollary_trio(shifted, k, slack=None):
     sequence (or numerical inconsistency); (ii)/(iii) are then reported as
     skipped, not as violations.
     """
-    slack = _check_k(shifted, k, slack)
+    slack = _check_k(shifted, k)
     v = shifted.values
     n = shifted.n
     first = _report("corollary_second_yang", k, *_linear_form(v, n, k), slack)
@@ -259,11 +255,11 @@ def weyl_constant(n, vol):
     return 4.0 * math.pi ** 2 / (omega_n(n) * vol) ** (2.0 / n)
 
 
-def check_polya_type(shifted, n, vol, k, slack=None):
+def check_polya_type(shifted, n, vol, k):
     """Mean lower bound: (1/k) sum upsilon_i >= n/sqrt((n+2)(n+4)) W k^(2/n)."""
     if k < 1 or k > len(shifted):
         raise ParameterError(f"k={k} out of range")
-    slack = _slack(shifted, slack)
+    slack = shifted.default_slack
     w = weyl_constant(n, vol)
     bound, mean = _mean_lower_form(shifted.values, n, k, w,
                                    n / math.sqrt((n + 2.0) * (n + 4.0)))
@@ -271,26 +267,15 @@ def check_polya_type(shifted, n, vol, k, slack=None):
                    inputs={"vol": vol, "weyl_constant": w})
 
 
-def check_cheng_yang_type(shifted, n, k, slack=None):
+def check_cheng_yang_type(shifted, n, k):
     """Growth bound: upsilon_{k+1} <= (1 + 4/n) k^(2/n) upsilon_1."""
-    slack = _check_k(shifted, k, slack)
+    slack = _check_k(shifted, k)
     return _report("cheng_yang_type", k, *_growth_form(shifted.values, n, k), slack)
 
 
 # ---------------------------------------------------------------------------
 # recursion machinery (appendix lemmas)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RecursionState:
-    """Running means and the recursion functional at one index."""
-
-    k: int
-    mean: float
-    mean_sq: float
-    f_value: float
-    c_value: float
-
 
 def recursion_constant(n, k, c):
     """C(n, k, c) = 1 - (c/3n) (k/(k+1))^(4c/n) (1+2c/n)(1+4c/n)/(k+1)^3."""
@@ -303,45 +288,41 @@ def _hypothesis_holds(values, n, c, k, slack):
     return lhs <= rhs * (1.0 + slack), lhs, rhs
 
 
-def _f_state(values, n, c, k):
+def _f_value(values, n, c, k):
+    """F_k = (1 + 2c/n) mean(v_i)^2 - mean(v_i^2) over i <= k."""
     mean = float(values[:k].mean())
-    mean_sq = float((values[:k] ** 2).mean())
-    f_val = (1.0 + 2.0 * c / n) * mean ** 2 - mean_sq
-    return RecursionState(k, mean, mean_sq, f_val, recursion_constant(n, k, c))
+    return (1.0 + 2.0 * c / n) * mean ** 2 - float((values[:k] ** 2).mean())
 
 
-def recursion_lemma(spec, n, c, k, slack=None):
+def recursion_lemma(spec, n, c, k):
     """Recursion step F_{k+1} <= C(n,k,c) ((k+1)/k)^(4c/n) F_k.
 
     The quadratic-gap hypothesis with parameter ``c`` is tested first; when
     it fails the lemma is reported as skipped (not applicable), never as a
-    violation.  Returns the pair of :class:`RecursionState` records for k
-    and k+1 together with the report.
+    violation.  The report's inputs carry ``C`` and ``F_k``.
     """
-    slack = _check_k(spec, k, slack)
+    slack = _check_k(spec, k)
     name = f"recursion_lemma(c={c:g})"
     v = spec.values
     ok, hyp_lhs, hyp_rhs = _hypothesis_holds(v, n, c, k, slack)
-    state_k = _f_state(v, n, c, k)
-    state_k1 = _f_state(v, n, c, k + 1)
     if not ok:
-        return (state_k, state_k1), _skipped(
-            name, k, slack,
-            f"hypothesis failed: {hyp_lhs:g} > {hyp_rhs:g}; lemma not applicable")
-    c_val = state_k.c_value
-    rhs = c_val * ((k + 1.0) / k) ** (4.0 * c / n) * state_k.f_value
-    report = _report(name, k, state_k1.f_value, rhs, slack,
-                     inputs={"C": c_val, "F_k": state_k.f_value,
+        return _skipped(name, k, slack,
+                        f"hypothesis failed: {hyp_lhs:g} > {hyp_rhs:g}; lemma not applicable")
+    c_val = recursion_constant(n, k, c)
+    f_k = _f_value(v, n, c, k)
+    rhs = c_val * ((k + 1.0) / k) ** (4.0 * c / n) * f_k
+    report = _report(name, k, _f_value(v, n, c, k + 1), rhs, slack,
+                     inputs={"C": c_val, "F_k": f_k,
                              "hyp_lhs": hyp_lhs, "hyp_rhs": hyp_rhs})
     if not (0.0 < c_val < 1.0):
         report.holds = False
         report.note = f"recursion constant out of range: C={c_val:g}"
-    return (state_k, state_k1), report
+    return report
 
 
-def lemma_c_bound(spec, n, c, k, slack=None):
+def lemma_c_bound(spec, n, c, k):
     """Growth bound under the c-hypothesis: eta_{k+1} <= (1+4c/n) k^(2c/n) eta_1."""
-    slack = _check_k(spec, k, slack)
+    slack = _check_k(spec, k)
     name = f"lemma_c_bound(c={c:g})"
     v = spec.values
     ok, hyp_lhs, hyp_rhs = _hypothesis_holds(v, n, c, k, slack)
@@ -359,14 +340,14 @@ def lemma_c_bound(spec, n, c, k, slack=None):
 PROPOSITION_MESH_SLACK = 8.0
 
 
-def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
+def proposition_reports(quad, eigenvalues, axis, k_list):
     """Test-function inequality reports for ``h = x^axis``, the ambient
     coordinate, at several k sharing one integral pass; labelled
     ``proposition_testfunction(h=x<axis + 1>)``.
 
     ``Lh`` is the closed form of the identity
     ``L x = tr(alpha o T) + dx(tr(nabla T) - T(grad eta))`` at the
-    quadrature points, not a finite difference.  The default slack is
+    quadrature points, not a finite difference.  The slack is
     ``max(1e-6, 8 h_max^2)``: ambient-coordinate test functions can saturate
     the continuum inequality with equality (on the hemisphere ``h u_1`` is
     itself an eigenfunction), so the discrete verdict must absorb the O(h^2)
@@ -375,8 +356,7 @@ def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if not 0 <= axis < quad.chart.dim_m:
         raise ParameterError(f"ambient axis {axis} out of range")
-    if slack is None:
-        slack = max(COMPUTED_SLACK, PROPOSITION_MESH_SLACK * quad.mesh.h_max ** 2)
+    slack = max(COMPUTED_SLACK, PROPOSITION_MESH_SLACK * quad.mesh.h_max ** 2)
     k_top = max(k_list)
     if k_top + 1 > len(eigenvalues) or k_top > quad.vertex_values.shape[0]:
         raise ParameterError("need eigenpairs through index k+1")
@@ -393,25 +373,11 @@ def proposition_reports(quad, eigenvalues, axis, k_list, slack=None):
     return reports
 
 
-def check_proposition_testfunction(quad, eigenvalues, axis, k, slack=None):
-    """Rayleigh-Ritz test-function inequality for the ambient coordinate
-    ``h = x^axis``:
-
-    sum L_i^2 int u_i^2 T(grad h, grad h) dm
-        <= sum L_i int (u_i Lh + 2 T(grad h, grad u_i))^2 dm
-
-    The eigenfunctions come from the quadrature context (P1 vertex arrays);
-    ``Lh`` is the closed form ``tr(alpha o T) + dx(tr(nabla T) - T(grad eta))``
-    in its ``axis`` component, evaluated at the quadrature points.
-    """
-    return proposition_reports(quad, eigenvalues, axis, [k], slack=slack)[0]
-
-
 # ---------------------------------------------------------------------------
 # background comparators
 # ---------------------------------------------------------------------------
 
-def intro_comparators(spec, n, k, consts=None, slack=None):
+def intro_comparators(spec, n, k, consts=None):
     """Evaluate the classical comparator inequalities on a spectrum.
 
     The Euclidean-domain comparators (difference bound, reciprocal-gap
@@ -423,7 +389,7 @@ def intro_comparators(spec, n, k, consts=None, slack=None):
     reciprocal-gap bound has an infinite right-hand side and holds, with
     ratio 0.
     """
-    slack = _check_k(spec, k, slack)
+    slack = _check_k(spec, k)
     lam = spec.values
     if consts is not None:
         v = upsilon_shift(spec, consts).values

@@ -9,10 +9,6 @@ class ParameterError(SpectralabError):
     """An argument is out of its documented range (bad k, resolution, ...)."""
 
 
-class DomainError(SpectralabError):
-    """A chart point lies outside the parameter domain."""
-
-
 class DegeneracyError(SpectralabError):
     """The immersion is rank deficient / the induced metric is degenerate."""
 

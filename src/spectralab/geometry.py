@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DegeneracyError,
-    DomainError,
     EvaluationError,
     ParameterError,
     TensorError,
@@ -30,7 +29,6 @@ from .errors import (
 from .expressions import compile_expression
 
 DEGENERACY_TOL = 1e-12
-CONTAINS_TOL = 1e-9  # slack of the parameter domains' membership tests
 
 # Finite-difference steps used by compute_constants / apply_operator_pointwise.
 # Both are independent of the sampling resolution so that nested sample grids
@@ -66,17 +64,6 @@ class Rectangle:
     @property
     def extents(self):
         return np.array([b - a for a, b in self.bounds])
-
-    @property
-    def measure(self):
-        return float(np.prod(self.extents))
-
-    def contains(self, points):
-        points = np.atleast_2d(points)
-        ok = np.ones(points.shape[0], dtype=bool)
-        for axis, (a, b) in enumerate(self.bounds):
-            ok &= (points[:, axis] >= a - CONTAINS_TOL) & (points[:, axis] <= b + CONTAINS_TOL)
-        return ok
 
     def sample_grid(self, resolution):
         """Uniform grid with ``resolution + 1`` points per axis, boundary included."""
@@ -120,15 +107,6 @@ class Disk:
     @property
     def extents(self):
         return np.array([2.0 * self.radius, 2.0 * self.radius])
-
-    @property
-    def measure(self):
-        return math.pi * self.radius ** 2
-
-    def contains(self, points):
-        points = np.atleast_2d(points)
-        d = np.hypot(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
-        return d <= self.radius + CONTAINS_TOL
 
     def sample_grid(self, resolution):
         """Center plus ``resolution`` concentric rings of ``6*resolution`` angles."""
@@ -516,21 +494,9 @@ def contract(spec, *operands):
     return out
 
 
-def metric(chart, points):
-    """Induced metric g_ij = <d_i x, d_j x> at each point, shape ``(N, n, n)``.
-
-    Always checks the points: raises :class:`DomainError` outside the parameter
-    domain and :class:`DegeneracyError` where ``det g`` falls below tolerance.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(chart.domain.contains(points)):
-        bad = points[~chart.domain.contains(points)][0]
-        raise DomainError(f"point {tuple(bad.tolist())} outside the parameter domain")
-    return _gram(chart.immersion.jacobian(points))
-
-
 def _gram(jac):
-    """Gram product g = jac^T jac of Jacobians ``(N, m, n)``, checked as in :func:`metric`."""
+    """Induced metric g = jac^T jac of Jacobians ``(N, m, n)``; raises
+    :class:`DegeneracyError` where ``det g`` falls below tolerance."""
     g = contract("pai,paj->pij", jac, jac)
     n = g.shape[-1]
     scale = contract("pii->p", g) / n

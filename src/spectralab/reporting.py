@@ -87,7 +87,7 @@ CHECKS = {
     "cheng_yang_type": CheckFamily(
         "shifted", lambda spec, ctx, k: [bnd.check_cheng_yang_type(spec, spec.n, k)]),
     "recursion_lemma": CheckFamily(
-        "shifted", lambda spec, ctx, k: [bnd.recursion_lemma(spec, spec.n, c, k)[1]
+        "shifted", lambda spec, ctx, k: [bnd.recursion_lemma(spec, spec.n, c, k)
                                          for c in ctx.c_values]),
     "lemma_c_bound": CheckFamily(
         "shifted", lambda spec, ctx, k: [bnd.lemma_c_bound(spec, spec.n, c, k)

@@ -207,7 +207,7 @@ def test_criterion_7_appendix_arithmetic():
     spec = Spectrum(rectangle_spectrum(30), 2, "closed_form")
     recursion_ok = True
     for k in range(1, 21):
-        _, report = recursion_lemma(spec, 2, 1.0, k)
+        report = recursion_lemma(spec, 2, 1.0, k)
         recursion_ok &= (not report.skipped) and report.holds
     ok = exact_ok and grid_ok and recursion_ok
     _line(7, ok, f"C(2,1,1)={recursion_constant(2, 1, 1)!r}, grid ok={grid_ok}, "

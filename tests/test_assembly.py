@@ -213,6 +213,20 @@ def test_assembly_peak_memory_bounded_by_block_budget(monkeypatch):
         tracemalloc.stop()
     output = sum(x.nbytes for x in (a_mat.rows, a_mat.cols, a_mat.vals, b_mat.vals))
     assert peak < assembly.BLOCK_BYTES + 6 * output
+    # one block stays within its per-point count, for the metric tensor (T
+    # is g), a diagonal tensor and an expression tensor (T held apart)
+    for chart in (chart, make_chart("flat_rectangle", tensor=diag_tensor(1.0, 2.0)),
+                  _expression_chart()):
+        mesh = build_structured(chart.domain, 48)
+        budget = 3 * assembly._point_bytes(chart)  # one point per node
+        cells = assembly.BLOCK_BYTES // budget
+        tracemalloc.start()
+        try:
+            assembly._element_entries(chart, mesh, slice(0, cells), np.triu_indices(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cells * budget
 
 
 def test_all_boundary_mesh_rejected():

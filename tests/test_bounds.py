@@ -23,7 +23,6 @@ from spectralab.bounds import (
     check_cheng_yang_type,
     check_corollary_trio,
     check_polya_type,
-    check_proposition_testfunction,
     check_thm_drift,
     check_thm_tensor,
     intro_comparators,
@@ -281,25 +280,25 @@ def test_recursion_constant_in_unit_interval():
 
 def test_recursion_constant_sequence():
     spec = Spectrum(np.ones(5), 2, "synthetic")
-    (state_k, state_k1), report = recursion_lemma(spec, 2, 1.0, 2)
+    report = recursion_lemma(spec, 2, 1.0, 2)
     # constant sequence: hypothesis holds with equality, F_k = 2c/n
-    assert state_k.f_value == pytest.approx(1.0, rel=1e-15)
+    assert report.inputs["F_k"] == pytest.approx(1.0, rel=1e-15)
     assert not report.skipped and report.holds
 
 
 def test_recursion_square_spectrum_k20():
     spec = square(30)
     for k in range(1, 21):
-        (state_k, state_k1), report = recursion_lemma(spec, 2, 1.0, k)
+        report = recursion_lemma(spec, 2, 1.0, k)
         assert not report.skipped
         assert report.holds
-        assert state_k.f_value > 0
-        assert 0 < state_k.c_value < 1
+        assert report.inputs["F_k"] > 0
+        assert 0 < report.inputs["C"] < 1
 
 
 def test_recursion_hypothesis_failure_is_not_applicable():
     spec = Spectrum([1.0, 9.0, 100.0], 2, "synthetic")
-    _, report = recursion_lemma(spec, 2, 1.0, 2)
+    report = recursion_lemma(spec, 2, 1.0, 2)
     assert report.skipped and "not applicable" in report.note
 
 
@@ -399,7 +398,7 @@ def test_comparators_without_constants_skip_li_yau():
 def test_proposition_square_first_coordinate():
     chart, mesh, _, result = pipeline("flat_rectangle", resolution=24, k=5)
     quad = quadrature_context(chart, mesh, result)
-    report = check_proposition_testfunction(quad, result.eigenvalues, 0, 3)
+    report = proposition_reports(quad, result.eigenvalues, 0, [3])[0]
     assert report.holds and report.name == "proposition_testfunction(h=x1)"
     # with |grad h| = 1 the weight integrals reproduce the normalization
     fields = QuadratureFields(chart, mesh)
@@ -412,19 +411,18 @@ def test_proposition_constant_test_function_degenerate():
     chart = flat_square_in_r3()
     mesh, _, result = solve_chart(chart, 8, 3)
     quad = quadrature_context(chart, mesh, result)
-    report = check_proposition_testfunction(quad, result.eigenvalues, 2, 2)
+    report = proposition_reports(quad, result.eigenvalues, 2, [2])[0]
     assert report.lhs == 0.0 and report.holds
     assert "degenerate" in report.note
     assert report.name == "proposition_testfunction(h=x3)"
-    assert "degenerate" not in check_proposition_testfunction(
-        quad, result.eigenvalues, 0, 2).note
+    assert "degenerate" not in proposition_reports(quad, result.eigenvalues, 0, [2])[0].note
 
 
 def test_proposition_reports_match_single_calls():
     chart, mesh, _, result = pipeline("flat_rectangle", resolution=12, k=5)
     quad = quadrature_context(chart, mesh, result)
     multi = proposition_reports(quad, result.eigenvalues, 1, [1, 3])
-    single = check_proposition_testfunction(quad, result.eigenvalues, 1, 3)
+    single = proposition_reports(quad, result.eigenvalues, 1, [3])[0]
     assert multi[1].lhs == single.lhs and multi[1].rhs == single.rhs
     with pytest.raises(ParameterError):
         proposition_reports(quad, result.eigenvalues, 2, [1])
@@ -615,7 +613,7 @@ def test_degenerate_gap_safety(value, count, n):
     trio = check_corollary_trio(spec, k)
     assert all(r.holds for r in trio)
     assert check_cheng_yang_type(spec, n, k).holds
-    _, rec = recursion_lemma(spec, n, 1.0, k)
+    rec = recursion_lemma(spec, n, 1.0, k)
     assert rec.holds and not rec.skipped
     assert lemma_c_bound(spec, n, 1.0, k).holds
     for report in intro_comparators(spec, n, k):

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import AmbientCoordinate, reference_assemble
 from spectralab.assembly import assemble
-from spectralab.errors import DegeneracyError, DomainError, ParameterError, TensorError
+from spectralab.errors import DegeneracyError, ParameterError, TensorError
 from spectralab.expressions import compile_expression
 from spectralab.geometry import (
     CHARTS,
@@ -22,7 +22,6 @@ from spectralab.geometry import (
     make_chart,
     make_eta,
     make_tensor,
-    metric,
     omega_n,
     second_form_hs_norm,
     second_fundamental_form,
@@ -37,16 +36,16 @@ RNG = np.random.default_rng(7)
 def test_flat_rectangle_metric_is_identity():
     chart = make_chart("flat_rectangle")
     pts = RNG.uniform(0, 1, (20, 2))
-    g = metric(chart, pts)
+    g = chart_fields(chart, pts).g
     assert np.allclose(g, np.eye(2), atol=1e-15)
 
 
 def test_sphere_metric_at_origin_is_conformal():
     chart = make_chart("stereographic_sphere", (1.0,))
-    g = metric(chart, [[0.0, 0.0]])
+    g = chart_fields(chart, [[0.0, 0.0]]).g
     assert np.allclose(g[0], 4.0 * np.eye(2), atol=1e-14)
     # conformal factor 4/(1+|xi|^2)^2 away from the origin
-    g = metric(chart, [[0.3, -0.4]])
+    g = chart_fields(chart, [[0.3, -0.4]]).g
     factor = 4.0 / (1.0 + 0.25) ** 2
     assert np.allclose(g[0], factor * np.eye(2), atol=1e-14)
 
@@ -60,18 +59,12 @@ def test_sphere_points_lie_on_sphere():
 
 def test_associate_family_metric_theta_independent():
     pts = RNG.uniform([0.1, -0.7], [3.0, 0.7], (40, 2))
-    reference = metric(make_chart("associate_family", (0.0,)), pts)
+    reference = chart_fields(make_chart("associate_family", (0.0,)), pts).g
     for theta in (0.4, math.pi / 4, 1.2, math.pi / 2):
-        g = metric(make_chart("associate_family", (theta,)), pts)
+        g = chart_fields(make_chart("associate_family", (theta,)), pts).g
         assert np.abs(g - reference).max() <= 1e-10
     expected = np.cosh(pts[:, 1]) ** 2
     assert np.abs(reference - expected[:, None, None] * np.eye(2)).max() <= 1e-12
-
-
-def test_metric_outside_domain_rejected():
-    chart = make_chart("flat_rectangle")
-    with pytest.raises(DomainError, match=r"^point \(1\.5, 0\.5\) outside the"):
-        metric(chart, [[1.5, 0.5]])
 
 
 def test_degenerate_immersion_detected():
@@ -83,8 +76,7 @@ def test_degenerate_immersion_detected():
         hessian=lambda p: np.zeros((p.shape[0], 3, 2, 2)))
     chart = Chart(2, 3, Rectangle(((0, 1), (0, 1))), collapse,
                   make_eta("zero"), make_tensor("metric"))
-    for evaluate in (lambda: metric(chart, [[0.5, 0.5]]),
-                     lambda: chart_fields(chart, [[0.5, 0.5]]),
+    for evaluate in (lambda: chart_fields(chart, [[0.5, 0.5]]),
                      lambda: compute_constants(chart, 8)):
         with pytest.raises(DegeneracyError):
             evaluate()
@@ -352,12 +344,6 @@ def test_chart_table_dimension_matches_immersion():
 def test_wrong_parameter_count_rejected(build):
     with pytest.raises(ParameterError):
         build()
-
-
-def test_disk_domain_membership():
-    disk = Disk((0.0, 0.0), 1.0)
-    assert not disk.contains([[0.8, 0.8]])[0]
-    assert disk.contains([[0.6, 0.6]])[0]
 
 
 # every spec passed to contract in src/, with the kind of each label after

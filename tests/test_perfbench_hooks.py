@@ -13,6 +13,8 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 
 import tracing  # noqa: E402
 
+import spectralab  # noqa: E402
+from spectralab import bounds  # noqa: E402
 from spectralab.reporting import parse_config, run_scenario  # noqa: E402
 
 SMALL_CONFIG = """
@@ -20,8 +22,8 @@ scenario.name = traced
 chart.id = flat_rectangle
 eta.kind = zero
 tensor.kind = metric
-mesh.resolutions = 4 8
-eigen.k_max = 6
+mesh.resolutions = 8 16
+eigen.k_max = 10
 checks = all
 appendix.c = 1
 constants.resolution = 16
@@ -40,5 +42,13 @@ def test_traced_run_records_every_layer():
                  "assembly.assemble", "assembly.quadrature", "eigensolve.solve_sparse",
                  "eigensolve.splu", "eigensolve.lu_solve", "eigensolve.vertex_fields"):
         assert name in names
-    assert any(name.startswith("bounds.") for name in names)
+    # k_max >= 10 reaches weyl_fit, so every bounds family records a span
+    for name, family in tracing.BOUNDS_FAMILIES.items():
+        assert callable(getattr(bounds, name))
+        assert f"bounds.{family}" in names
     assert tracer.counters["eigensolve.lu_fill"] > 0
+
+
+def test_public_names_resolve():
+    for name in spectralab.__all__:
+        assert hasattr(spectralab, name), name
