@@ -6,10 +6,10 @@ Two routes are provided and cross-checked against each other:
   Cholesky factorization of ``B`` (LAPACK, via ``scipy.linalg.eigh``) and is
   the reference oracle on desk-size problems.
 * :func:`solve_sparse` is a block shift-invert Lanczos iteration in the B
-  inner product, reorthogonalized by matrix-matrix products, on one sparse
-  factorization of ``A - sigma B``.  Deflated sweeps fill the lowest ``k``
-  pairs; a Sylvester inertia count of ``A - tau B`` certifies that no copy
-  of a multiple eigenvalue is missing among them.
+  inner product on ``A^-1 B``, reorthogonalized by matrix-matrix products,
+  on one symmetric factorization of ``A``.  Deflated sweeps fill the lowest
+  ``k`` pairs; a Sylvester inertia count of ``A - tau B`` by the same routine
+  certifies that no copy of a multiple eigenvalue is missing among them.
 
 Eigenvectors are B-normalized and sign-fixed (largest-magnitude component
 positive) for reproducible reports.
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSymMatrix
-from .errors import ConvergenceError, NotSPDError, ParameterError, ShiftError
+from .errors import ConvergenceError, NotSPDError, ParameterError
 
 DENSE_LIMIT = 4000
 DEFAULT_TOL = 1e-8
@@ -161,16 +161,16 @@ def _orthonormalize(w, bw, floor, fresh):
     return q, bq, r
 
 
-def _ritz_pairs(a_csr, b_csr, sigma, s_cols, thetas, qmat):
+def _ritz_pairs(a_csr, b_csr, s_cols, thetas, qmat):
     """Ascending Ritz pairs and residuals from eigenpairs ``(thetas, s_cols)``
     of the block tridiagonal matrix, sorted before the vectors are formed."""
-    idx = np.argsort(sigma + 1.0 / thetas)
-    lams, vecs = sigma + 1.0 / thetas[idx], s_cols[:, idx].T @ qmat
+    idx = np.argsort(1.0 / thetas)
+    lams, vecs = 1.0 / thetas[idx], s_cols[:, idx].T @ qmat
     return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
 
 
-def _lanczos_sweep(lu, a_csr, b_csr, sigma, rng, deflate, want, step_cap, p):
-    """One block B-Lanczos run, ``p`` columns per block, on (A - sigma B)^-1 B,
+def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
+    """One block B-Lanczos run, ``p`` columns per block, on ``A^-1 B``,
     B-orthogonal to the rows of ``deflate`` (or None), for the lowest
     ``want`` pairs: ``(lams, vecs, residuals, columns)`` once they reach
     ``DEFAULT_TOL`` or the space is exhausted (else the last estimates within
@@ -224,46 +224,45 @@ def _lanczos_sweep(lu, a_csr, b_csr, sigma, rng, deflate, want, step_cap, p):
             last = (s, theta, m)
             # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
             i = [np.argmax(ests / scale)]
-            probe = _ritz_pairs(a_csr, b_csr, sigma, s[:, i], theta[i], basis[:m])[2][0]
+            probe = _ritz_pairs(a_csr, b_csr, s[:, i], theta[i], basis[:m])[2][0]
             if probe <= 1.01 * DEFAULT_TOL or exhausted:
-                lams, vecs, res = _ritz_pairs(a_csr, b_csr, sigma, s, theta, basis[:m])
+                lams, vecs, res = _ritz_pairs(a_csr, b_csr, s, theta, basis[:m])
                 if np.all(res <= DEFAULT_TOL) or exhausted:
                     return lams, vecs, res, m
-    return (*_ritz_pairs(a_csr, b_csr, sigma, *last[:2], basis[:last[2]]), last[2])
+    return (*_ritz_pairs(a_csr, b_csr, *last[:2], basis[:last[2]]), last[2])
 
 
-def _shift_factor(a_csr, b_csr, sigma):
-    """Sparse LU of ``A - sigma B`` for the shift-invert sweeps."""
+def _factor(matrix, what):
+    """Symmetric ``LDL^T``-form LU of ``matrix`` without its stored zeros:
+    SuperLU on the ``MMD_AT_PLUS_A`` ordering with its pivots kept on the
+    diagonal (``perm_r == perm_c``), so ``U = D L^T``.  A singular or
+    off-diagonal pivot is an error in both uses; on ``A``, SPD for the
+    Dirichlet pencil, it is the pencil's one SPD check."""
+    matrix = matrix.tocsc()
+    matrix.eliminate_zeros()
     try:
-        # the pencil is symmetric: order on the pattern of A + A^T, not A^T A
-        return spla.splu((a_csr - sigma * b_csr).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise ShiftError(f"factorization of A - sigma B failed (sigma={sigma}): {exc}") from exc
+        raise ConvergenceError(f"factorization of {what} failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceError(f"factorization of {what} failed: off-diagonal pivot")
+    return lu
 
 
 def _inertia(a_csr, b_csr, tau):
     """Number of eigenvalues of the pencil below ``tau``: by Sylvester's law
-    of inertia, the negative pivots of a symmetric ``LDL^T`` factorization of
-    ``A - tau B``.  SuperLU gives it when it keeps its pivots on the diagonal
-    of a symmetric ordering (``perm_r == perm_c``); then ``U = D L^T``."""
-    try:
-        lu = spla.splu((a_csr - tau * b_csr).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise ConvergenceError(
-            f"inertia of A - tau B not computable (tau={tau}): {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ConvergenceError(
-            f"inertia of A - tau B not computable (tau={tau}): off-diagonal pivot")
+    of inertia, the negative pivots of the factorization of ``A - tau B``."""
+    lu = _factor(a_csr - tau * b_csr, f"A - tau B for the inertia count (tau={tau})")
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
+def solve_sparse(a, b, k, maxiter=None):
     """Lowest ``k`` eigenpairs by block shift-invert Lanczos in the B inner
     product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
 
-    ``A - sigma B`` is factored once (SuperLU, symmetric ``MMD_AT_PLUS_A``
-    ordering).  Each step solves for a block of ``p = max(1, k // 25)``
+    ``A`` is factored once by :func:`_factor`, and the Krylov space is that
+    of ``A^-1 B``.  Each step solves for a block of ``p = max(1, k // 25)``
     columns, B-orthogonalizes it against the whole basis by matrix-matrix
     products and B-orthonormalizes it by Cholesky QR; convergence is tested
     every ``max(2, (p + 2) // 3)`` blocks.  The basis is reserved once at the
@@ -271,10 +270,10 @@ def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
     which the columns used become resident; a refused reservation raises
     ``MemoryError``.  A block Krylov space sees at most ``p`` copies of an
     eigenvalue, so fill sweeps deflated against the pairs found so far run
-    until there are ``k``.  Then the negative pivots of an
-    ``LDL^T`` factorization of ``A - tau B``, ``tau`` just below the k-th
-    value, count the eigenvalues below ``tau`` (Sylvester's law of inertia;
-    the shift factor is dropped first).  If the pool holds fewer, a fill
+    until there are ``k``.  Then the negative pivots of the same routine's
+    factorization of ``A - tau B``, ``tau`` just below the k-th value, count
+    the eigenvalues below ``tau`` (Sylvester's law of inertia; the factor of
+    ``A`` is dropped first).  If the pool holds fewer, a fill
     sweep looks for the missing copies and the count is taken again; an
     uncertified pool is never returned.  Converged pairs satisfy
     ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|``; ``iterations`` counts
@@ -284,8 +283,6 @@ def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
     ----------
     a, b : SparseSymMatrix or scipy sparse
     k : number of eigenpairs
-    sigma : shift below the smallest eigenvalue (0 is always valid for the
-        Dirichlet pencil)
     maxiter : total Krylov column cap, default ``50 * k``
     """
     a_csr, b_csr = _as_csr(a), _as_csr(b)
@@ -295,7 +292,7 @@ def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
     if k == 0:
         return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
     maxiter = 50 * k if maxiter is None else maxiter
-    p, lu, rng = _block_size(k), _shift_factor(a_csr, b_csr, sigma), np.random.default_rng(SEED)
+    p, lu, rng = _block_size(k), _factor(a_csr, "A"), np.random.default_rng(SEED)
     pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
     while True:
         want = k - len(pool_lams)
@@ -313,8 +310,8 @@ def solve_sparse(a, b, k, sigma=0.0, maxiter=None):
         if steps_used >= maxiter:
             break
         if lu is None:  # the count found copies missing
-            lu = _shift_factor(a_csr, b_csr, sigma)
-        sweep = _lanczos_sweep(lu, a_csr, b_csr, sigma, rng,
+            lu = _factor(a_csr, "A")
+        sweep = _lanczos_sweep(lu, a_csr, b_csr, rng,
                                np.array(pool_vecs) if pool_vecs else None,
                                want, maxiter - steps_used, min(p, maxiter - steps_used))
         if sweep is None:

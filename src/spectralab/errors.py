@@ -29,12 +29,9 @@ class NotSPDError(SpectralabError):
     """A matrix that must be symmetric positive definite is not."""
 
 
-class ShiftError(SpectralabError):
-    """The shifted matrix A - sigma*B could not be factorized."""
-
-
 class ConvergenceError(SpectralabError):
-    """The iterative eigensolver hit its iteration cap."""
+    """The iterative eigensolver hit its iteration cap, or a factorization
+    it needs failed (singular, or pivoting off the diagonal)."""
 
     def __init__(self, message, best_residuals=None):
         super().__init__(message)

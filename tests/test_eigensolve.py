@@ -22,12 +22,7 @@ from spectralab.eigensolve import (
     solve_sparse,
     vertex_fields,
 )
-from spectralab.errors import (
-    ConvergenceError,
-    NotSPDError,
-    ParameterError,
-    ShiftError,
-)
+from spectralab.errors import ConvergenceError, NotSPDError, ParameterError
 from spectralab.geometry import make_chart, make_eta
 from spectralab.meshing import build_structured
 
@@ -217,9 +212,34 @@ def test_non_spd_mass_rejected():
 
 
 def test_singular_shift_rejected():
-    a, b = _diag_problem([1.0, 2.0, 3.0])
-    with pytest.raises(ShiftError):
-        solve_sparse(a, b, 1, sigma=1.0)  # A - sigma B exactly singular
+    a, b = _diag_problem([0.0, 1.0, 2.0])  # A exactly singular
+    with pytest.raises(ConvergenceError, match="factorization of A"):
+        solve_sparse(a, b, 1)
+
+
+def test_shift_factor_drops_stored_zeros(monkeypatch):
+    # the flat square's stiffness stores exact zeros on the diagonal edges;
+    # the shift factor has the fill of A - 0 B, which drops them
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 16))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    factors = []
+
+    def splu(*args, **kwargs):
+        factors.append(spla.splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(eigensolve, "spla", types.SimpleNamespace(splu=splu))
+    solve_sparse(a, b, 4)
+
+    def fill(matrix):
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return lu.L.nnz + lu.U.nnz
+
+    assert np.count_nonzero(a.data == 0.0) > 0
+    shift_fill = factors[0].L.nnz + factors[0].U.nnz
+    assert shift_fill == fill(a - 0.0 * b) < fill(a)
 
 
 def test_convergence_error_carries_residuals():
@@ -346,15 +366,16 @@ class _PivotedLU:
         self.perm_r = lu.perm_c[::-1].copy()
 
 
-def _failing_inertia(monkeypatch, failure):
-    """Make every inertia factorization (no pivoting off the diagonal) fail
-    as ``failure``; record the keywords of every factorization."""
+def _failing_factor(monkeypatch, failure, which):
+    """Make the factorization at index ``which`` of each solve's calls (0:
+    the shift, 1: the inertia count) fail as ``failure``; record the keywords
+    of every factorization.  Clear the record between solves."""
     calls = []
 
     def splu(matrix, **kwargs):
         calls.append(kwargs)
         lu = spla.splu(matrix, **kwargs)
-        if kwargs.get("diag_pivot_thresh") != 0.0:
+        if len(calls) != which + 1:
             return lu
         if failure == "singular":
             raise RuntimeError("Factor is exactly singular")
@@ -377,19 +398,26 @@ constants.resolution = 16
 """
 
 
-@pytest.mark.parametrize("failure", ["off_diagonal_pivot", "singular"])
-def test_inertia_failure_is_a_convergence_error(tmp_path, capsys, monkeypatch, failure):
+@pytest.mark.parametrize("which,failure", [
+    pytest.param(1, "off_diagonal_pivot", id="off_diagonal_pivot"),
+    pytest.param(1, "singular", id="singular"),
+    pytest.param(0, "off_diagonal_pivot", id="shift_off_diagonal_pivot"),
+    pytest.param(0, "singular", id="shift_singular"),
+])
+def test_inertia_failure_is_a_convergence_error(tmp_path, capsys, monkeypatch, which, failure):
     a, b = _diag_problem([float(v) for v in range(1, 30)])
-    calls = _failing_inertia(monkeypatch, failure)
-    with pytest.raises(ConvergenceError, match="inertia"):
+    calls = _failing_factor(monkeypatch, failure, which)
+    what = "factorization of " + ("A - tau B for the inertia count" if which else "A failed")
+    with pytest.raises(ConvergenceError, match=what):
         solve_sparse(a, b, 4)
-    assert len(calls) == 2
+    assert len(calls) == which + 1
+    calls.clear()
     cfg = tmp_path / "inertia.cfg"
     cfg.write_text(INERTIA_CONFIG)
     monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
     assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "ConvergenceError: inertia" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ConvergenceError: " + what)
     manifest = (tmp_path / "out" / "inertia" / "MANIFEST").read_text()
     assert "status incomplete" in manifest
 
@@ -470,9 +498,8 @@ def test_ritz_pairs_ascending_for_any_theta_order(order):
     a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 40))
     a, b = a_mat.to_csr(), b_mat.to_csr()
     exact = solve_dense(a, b, 4)
-    sigma = -1.0
-    thetas = 1.0 / (exact.eigenvalues[order] - sigma)
-    lams, vecs, res = _ritz_pairs(a, b, sigma, np.eye(4)[:, order], thetas, exact.vectors)
+    thetas = 1.0 / exact.eigenvalues[order]
+    lams, vecs, res = _ritz_pairs(a, b, np.eye(4)[:, order], thetas, exact.vectors)
     assert np.all(np.diff(lams) > 0)
     assert np.allclose(lams, exact.eigenvalues, rtol=1e-13, atol=0.0)
     assert np.array_equal(vecs, exact.vectors)

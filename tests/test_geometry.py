@@ -420,6 +420,12 @@ def test_source_contractions_are_covered():
     assert "np.einsum" not in text  # contract is the one contraction path
 
 
+def test_source_has_one_factorization():
+    text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    # eigensolve._factor serves the shift and the inertia count
+    assert text.count("spla.splu") == 1
+
+
 @pytest.mark.parametrize("name", ["hemisphere", "square_diag_tensor"])
 def test_assembly_matches_einsum_reference_bit_for_bit(name):
     scenario = load_scenario(str(SRC.parent.parent / "scenarios" / f"{name}.cfg"))
