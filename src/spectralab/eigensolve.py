@@ -30,7 +30,7 @@ from .errors import ConvergenceError, NotSPDError, ParameterError
 DENSE_LIMIT = 4000
 DEFAULT_TOL = 1e-8
 SEED = 1234  # of the random start blocks
-RESIDUAL_BYTES = 1 << 20  # per temporary of the residual products
+RESIDUAL_BYTES = 1 << 20  # per temporary of the Ritz and residual products
 
 
 @dataclass
@@ -161,22 +161,32 @@ def _orthonormalize(w, bw, floor, fresh):
     return q, bq, r
 
 
-def _ritz_pairs(a_csr, b_csr, s_cols, thetas, qmat):
-    """Ascending Ritz pairs and residuals from eigenpairs ``(thetas, s_cols)``
-    of the block tridiagonal matrix, sorted before the vectors are formed."""
+def _reserved_rows(want, p, blocks):
+    """Basis rows reserved for ``want`` pairs (sweeps used 36-72 columns for 13
+    and 312 for 100): 6 per pair and 2 blocks, within the ``blocks + 1`` of the cap."""
+    return p * min(blocks + 1, -(-6 * want // p) + 2)
+
+
+def _ritz_pairs(s_cols, thetas, basis):
+    """Ascending Ritz values of ``(thetas, s_cols)``; their vectors ``S^T Q``, ``Q =
+    basis[:len(s_cols)]``, overwrite its leading rows a column slice at a time."""
     idx = np.argsort(1.0 / thetas)
-    lams, vecs = 1.0 / thetas[idx], s_cols[:, idx].T @ qmat
-    return lams, vecs, _relative_residuals(a_csr, b_csr, lams, vecs)
+    (m, k), s_cols = s_cols.shape, s_cols[:, idx]
+    step = max(1, RESIDUAL_BYTES // (8 * max(k, 1)))
+    for lo in range(0, basis.shape[1], step):
+        basis[:k, lo:lo + step] = s_cols.T @ basis[:m, lo:lo + step]
+    return 1.0 / thetas[idx]
 
 
 def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
     """One block B-Lanczos run, ``p`` columns per block, on ``A^-1 B``,
     B-orthogonal to the rows of ``deflate`` (or None), for the lowest
-    ``want`` pairs: ``(lams, vecs, residuals, columns)`` once they reach
-    ``DEFAULT_TOL`` or the space is exhausted (else the last estimates within
-    ``step_cap`` columns), None if ``deflate`` spans the space.  When the
-    estimates pass, the pair with the largest relative estimate is probed,
-    and the Ritz vectors are formed only if it is within ``DEFAULT_TOL``."""
+    ``want`` pairs: ``(lams, vecs, residuals, columns)`` once the estimates and
+    a probe of the worst one reach ``DEFAULT_TOL`` or the space is exhausted
+    (else the last estimates within ``step_cap`` columns), None if ``deflate``
+    spans the space.  The basis, reserved at ``_reserved_rows`` and grown in
+    place by half, is the one array of Krylov size: ``vecs`` is its leading
+    rows, overwritten by the Ritz vectors, the rest released without a copy."""
     n = b_csr.shape[0]
     space = n - (0 if deflate is None else len(deflate))
     if space <= 0:
@@ -185,7 +195,7 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
         deflate = (deflate, (b_csr @ deflate.T).T)
     want, p = min(want, space), min(p, space)
     blocks = min(step_cap // p, -(-space // p))
-    basis, band = np.empty(((blocks + 1) * p, n)), np.zeros((p + 1, blocks * p))
+    basis, band = np.empty((_reserved_rows(want, p, blocks), n)), np.zeros((p + 1, blocks * p))
 
     def fresh(qmat):  # a random row B-orthogonal to qmat and the deflation set
         return lambda: [x[0] for x in _project_out(
@@ -196,7 +206,7 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
     if not q.any():
         return np.zeros(0), np.zeros((0, n)), np.zeros(0), 0
     basis[:p] = q
-    last = (np.zeros((blocks * p, 0)), np.zeros(0), blocks * p)  # the last estimates passed
+    last = (np.zeros((0, 0)), np.zeros(0), blocks * p)  # the last estimates passed
     rows, cols = np.tril_indices(p)  # a's lower triangle, and r's upper one transposed
     cadence = max(2, (p + 2) // 3)  # blocks between convergence tests
     for j in range(blocks):
@@ -209,6 +219,8 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
             w -= r @ basis[m - 2 * p:m - p]
         q, bq, r = _orthonormalize(*_project_out(w, basis[:m], b_csr, deflate),
                                    1e-14 * max(1.0, np.abs(a).max()), fresh(basis[:m]))
+        if m + p > len(basis):  # realloc; the reference check raises if a view is alive
+            basis.resize((min((blocks + 1) * p, m + p + len(basis) // 2), n))
         basis[m:m + p] = q
         # lower band form: band[d, c] = T[c + d, c], a at T[m-p:m, m-p:m], r below it
         band[rows - cols, m - p + cols] = a[rows, cols]
@@ -224,12 +236,12 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
             last = (s, theta, m)
             # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
             i = [np.argmax(ests / scale)]
-            probe = _ritz_pairs(a_csr, b_csr, s[:, i], theta[i], basis[:m])[2][0]
-            if probe <= 1.01 * DEFAULT_TOL or exhausted:
-                lams, vecs, res = _ritz_pairs(a_csr, b_csr, s, theta, basis[:m])
-                if np.all(res <= DEFAULT_TOL) or exhausted:
-                    return lams, vecs, res, m
-    return (*_ritz_pairs(a_csr, b_csr, *last[:2], basis[:last[2]]), last[2])
+            probe = _relative_residuals(a_csr, b_csr, 1.0 / theta[i], s[:, i].T @ basis[:m])
+            if probe[0] <= 1.01 * DEFAULT_TOL or exhausted:
+                break
+    lams = _ritz_pairs(*last[:2], basis)  # basis[:last[2]] is intact: rows are only appended
+    basis.resize((len(lams), n))
+    return lams, basis, _relative_residuals(a_csr, b_csr, lams, basis), last[2]
 
 
 def _factor(matrix, what):
@@ -265,9 +277,10 @@ def solve_sparse(a, b, k, maxiter=None):
     of ``A^-1 B``.  Each step solves for a block of ``p = max(1, k // 25)``
     columns, B-orthogonalizes it against the whole basis by matrix-matrix
     products and B-orthonormalizes it by Cholesky QR; convergence is tested
-    every ``max(2, (p + 2) // 3)`` blocks.  The basis is reserved once at the
-    sweep's column cap, ``(cap + p) * n * 8`` bytes of address space, of
-    which the columns used become resident; a refused reservation raises
+    every ``max(2, (p + 2) // 3)`` blocks.  A sweep reserves its basis for 6
+    columns per wanted pair and 2 blocks, ``(6 k + 2 p) * n * 8`` bytes at
+    most (1.27 GB for ``k = 100`` at 261k dofs), grows it in place when
+    outgrown, and forms the Ritz vectors in it; a refused reservation raises
     ``MemoryError``.  A block Krylov space sees at most ``p`` copies of an
     eigenvalue, so fill sweeps deflated against the pairs found so far run
     until there are ``k``.  Then the negative pivots of the same routine's
@@ -275,9 +288,9 @@ def solve_sparse(a, b, k, maxiter=None):
     the eigenvalues below ``tau`` (Sylvester's law of inertia; the factor of
     ``A`` is dropped first).  If the pool holds fewer, a fill
     sweep looks for the missing copies and the count is taken again; an
-    uncertified pool is never returned.  Converged pairs satisfy
-    ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|``; ``iterations`` counts
-    the Krylov columns, one triangular solve each.
+    uncertified pool is never returned.  ``residuals`` are those with which
+    each pair passed ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|`` in
+    its sweep; ``iterations`` counts the Krylov columns, one triangular solve each.
 
     Parameters
     ----------
@@ -293,14 +306,14 @@ def solve_sparse(a, b, k, maxiter=None):
         return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
     maxiter = 50 * k if maxiter is None else maxiter
     p, lu, rng = _block_size(k), _factor(a_csr, "A"), np.random.default_rng(SEED)
-    pool_lams, pool_vecs, steps_used, best_residuals = [], [], 0, None
+    pool, steps_used, best_residuals = [], 0, None  # (lambda, vector, residual) triples
     while True:
-        want = k - len(pool_lams)
+        want = k - len(pool)
         if want <= 0:
-            order = np.argsort(pool_lams)[:k]
-            pool_lams, pool_vecs = [pool_lams[i] for i in order], [pool_vecs[i] for i in order]
-            lu, tau = None, pool_lams[-1] - 10.0 * DEFAULT_TOL * (1.0 + abs(pool_lams[-1]))
-            want = _inertia(a_csr, b_csr, tau) - int(np.searchsorted(pool_lams, tau))
+            pool = [pool[i] for i in np.argsort([lam for lam, _, _ in pool])[:k]]
+            lams = [lam for lam, _, _ in pool]
+            lu, tau = None, lams[-1] - 10.0 * DEFAULT_TOL * (1.0 + abs(lams[-1]))
+            want = _inertia(a_csr, b_csr, tau) - int(np.searchsorted(lams, tau))
             if want == 0:
                 break  # no copy is missing below the k-th: certified
             if want < 0:
@@ -312,24 +325,21 @@ def solve_sparse(a, b, k, maxiter=None):
         if lu is None:  # the count found copies missing
             lu = _factor(a_csr, "A")
         sweep = _lanczos_sweep(lu, a_csr, b_csr, rng,
-                               np.array(pool_vecs) if pool_vecs else None,
+                               np.array([vec for _, vec, _ in pool]) if pool else None,
                                want, maxiter - steps_used, min(p, maxiter - steps_used))
         if sweep is None:
             break  # the pool spans the whole space
         lams, vecs, res, steps = sweep
         steps_used += max(steps, 1)
         best_residuals = res if len(lams) else best_residuals
-        for lam, vec, ok in zip(lams, vecs, res <= DEFAULT_TOL):
-            if ok:  # B-normalized in place: the pool holds rows of the sweep's block
+        for lam, vec, r in zip(lams, vecs, res):
+            if r <= DEFAULT_TOL:  # B-normalized in place: the pool holds rows of the sweep's block
                 vec /= np.sqrt(np.abs(vec @ (b_csr @ vec)))
-                pool_lams.append(float(lam))
-                pool_vecs.append(vec)
+                pool.append((float(lam), vec, r))
 
     if want == 0:  # the pool is the ascending lowest k
-        lams, vecs = np.array(pool_lams), _fix_signs(np.array(pool_vecs))
-        res = _relative_residuals(a_csr, b_csr, lams, vecs)
-        if np.all(res <= DEFAULT_TOL):
-            return SpectralResult(lams, vecs, res, steps_used)
+        lams, vecs, res = (np.array(column) for column in zip(*pool))
+        return SpectralResult(lams, _fix_signs(vecs), res, steps_used)
     raise ConvergenceError(
         f"Lanczos did not converge within {maxiter} iterations",
         best_residuals=best_residuals)

@@ -6,7 +6,10 @@ whose rows must have the same ``name``, ``k`` and ``holds`` and whose
 numbers must agree within ``--rtol`` relative.  It prints the worst relative
 difference of each ``bounds.csv``, then that of each check family in it (the
 row name up to ``(``) whose numbers differ at all, and every file that
-differs or exists on one side only.  It exits 1 on any mismatch, 0 otherwise.
+differs or exists on one side only.  For a differing ``eigenvalues.csv`` it
+adds whether the ``resolution,k,lambda`` columns are identical and the
+largest ``residual`` on each side.  It exits 1 on any mismatch (any byte
+difference outside ``bounds.csv``), 0 otherwise.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 EXACT_COLUMNS = ("name", "k", "holds")
+SPECTRUM_COLUMNS = ("resolution", "k", "lambda")
 
 
 def _relative(a, b):
@@ -57,6 +61,27 @@ def compare_bounds(text_a, text_b):
     return worst, families, problems
 
 
+def explain_eigenvalues(text_a, text_b):
+    """Why two ``eigenvalues.csv`` texts differ: whether their spectrum
+    columns are identical, and the largest residual of each side."""
+    tables = []
+    for text in (text_a, text_b):
+        rows = [line.split(",") for line in text.splitlines()]
+        if not rows or not set(SPECTRUM_COLUMNS + ("residual",)) <= set(rows[0]):
+            return "no resolution,k,lambda,residual header"
+        header = rows[0]
+        try:
+            spectrum = [[row[header.index(c)] for c in SPECTRUM_COLUMNS] for row in rows[1:]]
+            residuals = [float(row[header.index("residual")]) for row in rows[1:]]
+        except (IndexError, ValueError):
+            return "a row does not parse"
+        tables.append((spectrum, max(residuals, default=math.nan)))
+    (spectrum_a, worst_a), (spectrum_b, worst_b) = tables
+    same = "identical" if spectrum_a == spectrum_b else "differ"
+    return (f"{','.join(SPECTRUM_COLUMNS)} {same}; "
+            f"largest residual {worst_a:.3g} against {worst_b:.3g}")
+
+
 def compare(dir_a, dir_b, rtol):
     """Print the comparison of two snapshot directories; return the exit code."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
@@ -81,7 +106,9 @@ def compare(dir_a, dir_b, rtol):
         elif bytes_a == bytes_b:
             identical += 1
         else:
-            print(f"{rel}: bytes differ")
+            why = (f": {explain_eigenvalues(bytes_a.decode(), bytes_b.decode())}"
+                   if rel.name == "eigenvalues.csv" else "")
+            print(f"{rel}: bytes differ{why}")
             mismatches += 1
     print(f"{len(files_a | files_b)} files: {identical} other files byte-identical, "
           f"{mismatches} mismatched")

@@ -53,3 +53,27 @@ def test_worst_difference_printed_per_family(tmp_path, capsys):
     assert "\n  proposition_testfunction: 2e-13\n" in out
     assert "\n  thm_drift: 4.42e-16\n" in out
     assert "ppw:" not in out  # no difference, no line
+
+
+EIGENVALUES = ("resolution,k,lambda,residual\n"
+               "8,1,19.7,3.5e-14\n"
+               "8,2,49.3,8.1e-13\n")
+
+
+def test_eigenvalue_differences_are_explained(tmp_path, capsys):
+    a = _snapshot(tmp_path / "a", eigenvalues=EIGENVALUES)
+    residual_only = EIGENVALUES.replace("8.1e-13", "9.25e-13")
+    assert compare_snapshots.main(
+        [a, _snapshot(tmp_path / "b", eigenvalues=residual_only)]) == 1
+    out = capsys.readouterr().out
+    assert ("square/eigenvalues.csv: bytes differ: resolution,k,lambda identical; "
+            "largest residual 8.1e-13 against 9.25e-13\n") in out
+    moved = EIGENVALUES.replace("49.3", "49.300000000000004")
+    assert compare_snapshots.main([a, _snapshot(tmp_path / "c", eigenvalues=moved)]) == 1
+    assert "resolution,k,lambda differ; largest residual 8.1e-13 against 8.1e-13" in (
+        capsys.readouterr().out)
+    assert compare_snapshots.main([a, _snapshot(tmp_path / "d", eigenvalues="1,19.7\n")]) == 1
+    assert "bytes differ: no resolution,k,lambda,residual header" in capsys.readouterr().out
+    short = EIGENVALUES.replace("8,2,49.3,8.1e-13", "8,2,49.3")
+    assert compare_snapshots.main([a, _snapshot(tmp_path / "e", eigenvalues=short)]) == 1
+    assert "bytes differ: a row does not parse" in capsys.readouterr().out

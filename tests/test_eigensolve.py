@@ -1,6 +1,7 @@
 import copy
 import inspect
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -17,6 +18,7 @@ from spectralab.eigensolve import (
     _block_size,
     _inertia,
     _relative_residuals,
+    _reserved_rows,
     _ritz_pairs,
     solve_dense,
     solve_sparse,
@@ -422,18 +424,22 @@ def test_inertia_failure_is_a_convergence_error(tmp_path, capsys, monkeypatch, w
     assert "status incomplete" in manifest
 
 
-class _RefusingNumpy:
-    """numpy with an ``empty`` that fails as a refused reservation does."""
+class _NumpyWith:
+    """numpy with ``empty`` replaced."""
 
-    def empty(self, shape, *args, **kwargs):
-        raise MemoryError(f"Unable to allocate basis of shape {shape}")
+    def __init__(self, empty):
+        self.empty = empty
 
     def __getattr__(self, name):
         return getattr(np, name)
 
 
+def _refuse(shape, *args, **kwargs):  # as a refused reservation fails
+    raise MemoryError(f"Unable to allocate basis of shape {shape}")
+
+
 def test_refused_basis_allocation_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(eigensolve, "np", _RefusingNumpy())
+    monkeypatch.setattr(eigensolve, "np", _NumpyWith(_refuse))
     cfg = tmp_path / "inertia.cfg"
     cfg.write_text(INERTIA_CONFIG)
     monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
@@ -444,6 +450,83 @@ def test_refused_basis_allocation_exits_two(tmp_path, capsys, monkeypatch):
     manifest = (tmp_path / "out" / "inertia" / "MANIFEST").read_text().splitlines()
     assert "status incomplete" in manifest
     assert any(line.startswith("error MemoryError: ") for line in manifest)
+
+
+def test_basis_grown_from_a_small_reservation_gives_the_same_pairs(monkeypatch):
+    # the res-16 hemisphere at k = 13 has double eigenvalues and a fill sweep
+    a, b = _hemisphere(16)
+    default = solve_sparse(a, b, 13)
+    sweeps = _count_sweeps(monkeypatch)
+    monkeypatch.setattr(eigensolve, "_reserved_rows", lambda want, p, blocks: p)
+    grown = solve_sparse(a, b, 13)
+    # every sweep outgrew its one-block reservation
+    assert len(sweeps) > 1 and all(result[3] > 1 for _, result in sweeps)
+    assert np.array_equal(grown.eigenvalues, default.eigenvalues)
+    assert np.array_equal(grown.vectors, default.vectors)
+    assert np.array_equal(grown.residuals, default.residuals)
+
+
+def test_pairs_failing_after_the_probe_are_found_by_a_deflated_sweep(monkeypatch):
+    # the probe passes but one formed pair is made to fail its residual test:
+    # the sweep returns, and the pool keeps only the pairs that passed
+    chart = make_chart("flat_interval")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 300))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    default = solve_sparse(a, b, 10)
+    failed = []
+
+    def residuals(a_csr, b_csr, lams, vecs):
+        res = _relative_residuals(a_csr, b_csr, lams, vecs)
+        if len(lams) > 1 and not failed:
+            failed.append(lams[-1])
+            res[-1] = 1.0
+        return res
+
+    monkeypatch.setattr(eigensolve, "_relative_residuals", residuals)
+    sweeps = _count_sweeps(monkeypatch)
+    result = solve_sparse(a, b, 10)
+    assert [want for want, _ in sweeps] == [10, 1]
+    assert np.sum(sweeps[0][1][2] <= 1e-8) == 9
+    assert np.allclose(result.eigenvalues, default.eigenvalues, rtol=1e-12, atol=0.0)
+    assert np.all(result.residuals <= 1e-8)
+    gram = result.vectors @ (b @ result.vectors.T)
+    assert np.abs(gram - np.eye(10)).max() <= 1e-8
+
+
+def test_basis_reservation_follows_the_estimate():
+    # k = 100, p = 4 on 261,121 dofs, cap 50 k columns: 10.45 GB at the cap
+    n, blocks = 261_121, 50 * 100 // 4
+    assert (blocks + 1) * 4 * n * 8 > 10.4e9
+    assert _reserved_rows(100, 4, blocks) * n * 8 <= 1.5e9
+    # the columns measured at k = 13 (up to 72) and k = 100 (312), plus a block
+    assert _reserved_rows(13, 1, 650) >= 73 and _reserved_rows(100, 4, blocks) >= 316
+    assert _reserved_rows(100, 4, 10) == 44  # never beyond the cap
+
+
+def test_ritz_vectors_are_formed_inside_the_basis(monkeypatch):
+    # Ritz vectors beside the basis would add k n 8 bytes to the traced peak
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 128))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    k, n = 40, a.shape[0]
+    reserved = []
+
+    def empty(shape, *args, **kwargs):
+        reserved.append(8 * math.prod(shape))
+        return np.empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "np", _NumpyWith(empty))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = solve_sparse(a, b, k)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert reserved and peak < max(reserved) + 0.5 * k * n * 8
+    assert result.vectors.shape == (k, n)
+    assert result.vectors.flags.owndata and result.vectors.base is None
+    assert np.all(result.residuals <= 1e-8)
 
 
 def test_sparse_matches_eigsh_with_multiplicities_above_dense_limit():
@@ -491,17 +574,21 @@ def test_step_capped_fill_sweep_reports_its_last_pairs(monkeypatch):
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1], [3, 2, 1, 0]],
                          ids=["descending", "mixed", "ascending"])
-def test_ritz_pairs_ascending_for_any_theta_order(order):
-    # exact eigenvectors as the basis: the Ritz vector of column j is row
-    # order[j], so each returned vector must be the row of its value
+def test_ritz_pairs_ascending_for_any_theta_order(order, monkeypatch):
+    # exact eigenvectors and two more rows as the basis: the Ritz vector of
+    # column j is row order[j], so each formed row must be the row of its value
     chart = make_chart("flat_interval")
     a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 40))
     a, b = a_mat.to_csr(), b_mat.to_csr()
     exact = solve_dense(a, b, 4)
+    extra = np.random.default_rng(0).standard_normal((2, a.shape[0]))
+    basis = np.vstack([exact.vectors, extra])
     thetas = 1.0 / exact.eigenvalues[order]
-    lams, vecs, res = _ritz_pairs(a, b, np.eye(4)[:, order], thetas, exact.vectors)
+    monkeypatch.setattr(eigensolve, "RESIDUAL_BYTES", 8 * 4 * 7)  # slices of 7 columns
+    lams = _ritz_pairs(np.eye(6)[:, order], thetas, basis)
     assert np.all(np.diff(lams) > 0)
     assert np.allclose(lams, exact.eigenvalues, rtol=1e-13, atol=0.0)
-    assert np.array_equal(vecs, exact.vectors)
-    assert np.array_equal(res, _relative_residuals(a, b, lams, vecs))
-    assert np.all(res <= 1e-8)
+    assert np.array_equal(basis[:4], exact.vectors)
+    assert np.array_equal(basis[4:], extra)  # rows beyond the pairs are not written
+    assert np.all(_relative_residuals(a, b, lams, basis[:4]) <= 1e-8)
+
