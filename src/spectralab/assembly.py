@@ -212,7 +212,7 @@ class EigenfunctionQuadrature:
         self.chart = chart
         self.mesh = mesh
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
-        values = np.ascontiguousarray(self.vertex_values.T)  # the one (V, k) copy
+        values = np.ascontiguousarray(self.vertex_values.T)  # vertex_fields' (V, k) array
         cell_bytes = mesh.cells.shape[1] * _check_point_bytes(chart, values.shape[1])
         step = max(1, BLOCK_BYTES // cell_bytes)
         # the rows of _block_integrals summed over cell blocks, and the

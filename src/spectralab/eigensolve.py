@@ -1,18 +1,10 @@
-"""Generalized symmetric eigensolvers for the assembled pencil ``A x = lambda B x``.
-
-Two routes are provided and cross-checked against each other:
-
-* :func:`solve_dense` reduces to a standard symmetric problem through a
-  Cholesky factorization of ``B`` (LAPACK, via ``scipy.linalg.eigh``) and is
-  the reference oracle on desk-size problems.
-* :func:`solve_sparse` is a block shift-invert Lanczos iteration in the B
-  inner product on ``A^-1 B``, reorthogonalized by matrix-matrix products,
-  on one symmetric factorization of ``A``.  Deflated sweeps fill the lowest
-  ``k`` pairs; a Sylvester inertia count of ``A - tau B`` by the same routine
-  certifies that no copy of a multiple eigenvalue is missing among them.
-
-Eigenvectors are B-normalized and sign-fixed (largest-magnitude component
-positive) for reproducible reports.
+"""Generalized symmetric eigensolvers for the assembled pencil ``A x = lambda B x``,
+cross-checked against each other: :func:`solve_dense`, the reference oracle on
+desk-size problems, reduces by a Cholesky factorization of ``B`` (LAPACK);
+:func:`solve_sparse` is a thick-restarted block shift-invert Lanczos iteration
+in the B inner product, certified by a Sylvester inertia count.  Eigenvectors
+are B-normalized and sign-fixed (largest-magnitude component positive) for
+reproducible reports.
 """
 
 from __future__ import annotations
@@ -39,8 +31,8 @@ class SpectralResult:
 
     ``vectors`` holds one eigenvector per row in the reduced (interior dof)
     numbering; ``residuals`` are the relative residuals
-    ``|A x - lambda B x| / ((1 + lambda) |B x|)``.  ``vertex_values`` is
-    filled by the pipeline when a mesh/dof map is available.
+    ``|A x - lambda B x| / ((1 + lambda) |B x|)``.  The pipeline replaces
+    ``vectors`` by ``vertex_values`` (:func:`vertex_fields`): one array each.
     """
 
     eigenvalues: np.ndarray
@@ -58,8 +50,9 @@ def _as_csr(matrix):
 
 
 def _fix_signs(vectors):
-    pivots = vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
-    vectors *= np.where(pivots < 0, -1.0, 1.0)[:, None]
+    for vec in vectors:  # a row at a time: no |vectors| temporary
+        if vec[np.argmax(np.abs(vec))] < 0:
+            vec *= -1.0
     return vectors
 
 
@@ -78,10 +71,13 @@ def _relative_residuals(a_csr, b_csr, eigenvalues, vectors):
 
 
 def vertex_fields(result, dof_map):
-    """Expand reduced eigenvectors to vertex-value arrays (zeros on boundary)."""
-    out, interior = np.zeros((len(result), len(dof_map))), dof_map >= 0
-    out[:, interior] = result.vectors[:, dof_map[interior]]
-    return out
+    """Reduced eigenvectors expanded to vertex values, zero on the boundary:
+    ``(k, V)``, the transpose of the C-contiguous ``(V, k)`` array that the
+    check quadrature reads, filled an eigenvector at a time."""
+    out, interior = np.zeros((len(dof_map), len(result))), dof_map >= 0
+    for i, vec in enumerate(result.vectors):
+        out[interior, i] = vec[dof_map[interior]]
+    return out.T
 
 
 def solve_dense(a, b, k):
@@ -161,16 +157,10 @@ def _orthonormalize(w, bw, floor, fresh):
     return q, bq, r
 
 
-def _reserved_rows(want, p, blocks):
-    """Basis rows reserved for ``want`` pairs (sweeps used 36-72 columns for 13
-    and 312 for 100): 6 per pair and 2 blocks, within the ``blocks + 1`` of the cap."""
-    return p * min(blocks + 1, -(-6 * want // p) + 2)
-
-
 def _ritz_pairs(s_cols, thetas, basis):
     """Ascending Ritz values of ``(thetas, s_cols)``; their vectors ``S^T Q``, ``Q =
     basis[:len(s_cols)]``, overwrite its leading rows a column slice at a time."""
-    idx = np.argsort(1.0 / thetas)
+    idx = np.argsort(1.0 / thetas, kind="stable")
     (m, k), s_cols = s_cols.shape, s_cols[:, idx]
     step = max(1, RESIDUAL_BYTES // (8 * max(k, 1)))
     for lo in range(0, basis.shape[1], step):
@@ -184,9 +174,10 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
     ``want`` pairs: ``(lams, vecs, residuals, columns)`` once the estimates and
     a probe of the worst one reach ``DEFAULT_TOL`` or the space is exhausted
     (else the last estimates within ``step_cap`` columns), None if ``deflate``
-    spans the space.  The basis, reserved at ``_reserved_rows`` and grown in
-    place by half, is the one array of Krylov size: ``vecs`` is its leading
-    rows, overwritten by the Ritz vectors, the rest released without a copy."""
+    spans the space.  A basis of ``m_max + p`` rows, ``m_max = max(2 want + 2 p,
+    80)`` or less, restarts thick when full (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000) from ``want + (m_max - want) // 2`` Ritz vectors formed in
+    it and the last block; ``vecs`` is its leading rows, the rest released."""
     n = b_csr.shape[0]
     space = n - (0 if deflate is None else len(deflate))
     if space <= 0:
@@ -194,8 +185,11 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
     if deflate is not None:
         deflate = (deflate, (b_csr @ deflate.T).T)
     want, p = min(want, space), min(p, space)
-    blocks = min(step_cap // p, -(-space // p))
-    basis, band = np.empty((_reserved_rows(want, p, blocks), n)), np.zeros((p + 1, blocks * p))
+    blocks = step_cap // p
+    m_max = min(max(2 * want + 2 * p, 80), p * min(blocks, -(-space // p)))
+    keep = want + (m_max - want) // 2
+    # T in its lower triangle: T[m + i, m - p + l] = r[i, l] below each diagonal block
+    basis, t = np.empty((m_max + p, n)), np.zeros((m_max + p, m_max))
 
     def fresh(qmat):  # a random row B-orthogonal to qmat and the deflation set
         return lambda: [x[0] for x in _project_out(
@@ -207,40 +201,50 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
         return np.zeros(0), np.zeros((0, n)), np.zeros(0), 0
     basis[:p] = q
     last = (np.zeros((0, 0)), np.zeros(0), blocks * p)  # the last estimates passed
-    rows, cols = np.tril_indices(p)  # a's lower triangle, and r's upper one transposed
-    cadence = max(2, (p + 2) // 3)  # blocks between convergence tests
+    # rows in use, of those coupled to the last block, blocks before the last restart
+    m, prev, restarted, cadence = p, 0, 0, max(2, (p + 2) // 3)
     for j in range(blocks):
-        m = (j + 1) * p
         w = lu.solve(bq.T).T
         a = bq @ w.T
         a = 0.5 * (a + a.T)
         w -= a @ basis[m - p:m]
-        if j:
-            w -= r @ basis[m - 2 * p:m - p]
+        w -= t[m - p:m, prev:m - p] @ basis[prev:m - p]
         q, bq, r = _orthonormalize(*_project_out(w, basis[:m], b_csr, deflate),
                                    1e-14 * max(1.0, np.abs(a).max()), fresh(basis[:m]))
-        if m + p > len(basis):  # realloc; the reference check raises if a view is alive
-            basis.resize((min((blocks + 1) * p, m + p + len(basis) // 2), n))
         basis[m:m + p] = q
-        # lower band form: band[d, c] = T[c + d, c], a at T[m-p:m, m-p:m], r below it
-        band[rows - cols, m - p + cols] = a[rows, cols]
-        band[p + cols - rows, m - p + rows] = r[cols, rows]
+        t[m - p:m, m - p:m], t[m:m + p, m - p:m] = a, r
         exhausted = m >= space or not q.any()
-        if m < want or not (exhausted or (j + 1) % cadence == 0 or j == blocks - 1):
-            continue
-        theta, s = sla.eig_banded(band[:, :m], lower=True, check_finite=False)
-        theta, s = theta[::-1][:want], s[:, ::-1][:, :want]
-        scale = np.maximum(np.abs(theta), 1e-30)
-        ests = np.linalg.norm(r @ s[-p:], axis=0)
-        if np.all(ests <= 10.0 * DEFAULT_TOL * scale) or exhausted:
-            last = (s, theta, m)
-            # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
-            i = [np.argmax(ests / scale)]
-            probe = _relative_residuals(a_csr, b_csr, 1.0 / theta[i], s[:, i].T @ basis[:m])
-            if probe[0] <= 1.01 * DEFAULT_TOL or exhausted:
-                break
-    lams = _ritz_pairs(*last[:2], basis)  # basis[:last[2]] is intact: rows are only appended
-    basis.resize((len(lams), n))
+        restart = not exhausted and m + p > m_max and j < blocks - 1
+        if m >= want and (exhausted or restart or j == blocks - 1
+                          or (j + 1 - restarted) % cadence == 0):
+            theta, s = (  # a restart's arrowhead is not banded: its largest pairs, densely
+                sla.eigh(t[:m, :m], lower=True, subset_by_index=[m - keep, m - 1]) if restarted
+                else sla.eig_banded([np.diagonal(t[:m + p, :m], -d) for d in range(p + 1)],
+                                    lower=True, check_finite=False))
+            theta, s = theta[::-1][:keep], s[:, ::-1][:, :keep]
+            scale = np.maximum(np.abs(theta[:want]), 1e-30)
+            ests = np.linalg.norm(r @ s[-p:, :want], axis=0)
+            if np.all(ests <= 10.0 * DEFAULT_TOL * scale) or exhausted:
+                last = (s[:, :want], theta[:want], (j + 1) * p)
+                # the pair likeliest to fail; 1.01 absorbs one-row vs block GEMM roundoff
+                i = [np.argmax(ests / scale)]
+                probe = _relative_residuals(a_csr, b_csr, 1.0 / theta[i], s[:, i].T @ basis[:m])
+                if probe[0] <= 1.01 * DEFAULT_TOL or exhausted:
+                    break
+        if restart:  # T becomes diag(theta), its coupling to the last block, then the band
+            _ritz_pairs(s, theta, basis)  # theta descends: the rows keep its order
+            basis[keep:keep + p], t[:keep, :keep], t[keep:] = q, np.diag(theta), 0.0
+            t[keep:keep + p, :keep] = r @ s[-p:]
+            # passed estimates are now the leading kept rows; eigh costs more than eig_banded
+            last = (np.eye(want), theta[:want], last[2]) if len(last[1]) else last
+            m, prev, restarted, cadence = keep + p, 0, j + 1, 7
+        else:
+            m, prev = m + p, m - p
+    lams = _ritz_pairs(*last[:2], basis)  # basis[:len(last[0])] is intact since last was set
+    try:
+        basis.resize((len(lams), n))
+    except ValueError:  # refused while a tracer's frame locals also reference the basis
+        basis = basis[:len(lams)].copy()
     return lams, basis, _relative_residuals(a_csr, b_csr, lams, basis), last[2]
 
 
@@ -273,30 +277,24 @@ def solve_sparse(a, b, k, maxiter=None):
     """Lowest ``k`` eigenpairs by block shift-invert Lanczos in the B inner
     product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
 
-    ``A`` is factored once by :func:`_factor`, and the Krylov space is that
-    of ``A^-1 B``.  Each step solves for a block of ``p = max(1, k // 25)``
+    ``A`` is factored once by :func:`_factor`, and the Krylov space is that of
+    ``A^-1 B``.  Each step solves for a block of ``p = max(1, k // 25)``
     columns, B-orthogonalizes it against the whole basis by matrix-matrix
     products and B-orthonormalizes it by Cholesky QR; convergence is tested
-    every ``max(2, (p + 2) // 3)`` blocks.  A sweep reserves its basis for 6
-    columns per wanted pair and 2 blocks, ``(6 k + 2 p) * n * 8`` bytes at
-    most (1.27 GB for ``k = 100`` at 261k dofs), grows it in place when
-    outgrown, and forms the Ritz vectors in it; a refused reservation raises
-    ``MemoryError``.  A block Krylov space sees at most ``p`` copies of an
-    eigenvalue, so fill sweeps deflated against the pairs found so far run
-    until there are ``k``.  Then the negative pivots of the same routine's
-    factorization of ``A - tau B``, ``tau`` just below the k-th value, count
-    the eigenvalues below ``tau`` (Sylvester's law of inertia; the factor of
-    ``A`` is dropped first).  If the pool holds fewer, a fill
-    sweep looks for the missing copies and the count is taken again; an
-    uncertified pool is never returned.  ``residuals`` are those with which
-    each pair passed ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|`` in
-    its sweep; ``iterations`` counts the Krylov columns, one triangular solve each.
-
-    Parameters
-    ----------
-    a, b : SparseSymMatrix or scipy sparse
-    k : number of eigenpairs
-    maxiter : total Krylov column cap, default ``50 * k``
+    every ``max(2, (p + 2) // 3)`` blocks, every 7th after a restart.  A
+    sweep's basis of ``max(2 k + 2 p, 80) + p`` rows (0.44 GB at ``k = 100``
+    and 261k dofs; a refusal raises ``MemoryError``) ends as its vectors.  A
+    block Krylov space sees at most ``p`` copies of an eigenvalue, so fill
+    sweeps deflated against the pairs found so far run until there are ``k``.
+    Then the negative pivots of the same routine's factorization of
+    ``A - tau B``, ``tau`` just below the k-th value, count the eigenvalues
+    below ``tau`` (Sylvester's law of inertia; the factor of ``A`` is dropped
+    first).  If the pool holds fewer, a fill sweep looks for the missing
+    copies and the count is taken again; an uncertified pool is never
+    returned.  ``residuals`` are those with which each pair passed
+    ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|`` in its sweep;
+    ``iterations`` counts the Krylov columns, one triangular solve each, at
+    most ``maxiter`` (default ``50 k``); ``a``, ``b`` are SparseSymMatrix or scipy sparse.
     """
     a_csr, b_csr = _as_csr(a), _as_csr(b)
     n = a_csr.shape[0]
@@ -338,8 +336,10 @@ def solve_sparse(a, b, k, maxiter=None):
                 pool.append((float(lam), vec, r))
 
     if want == 0:  # the pool is the ascending lowest k
-        lams, vecs, res = (np.array(column) for column in zip(*pool))
-        return SpectralResult(lams, _fix_signs(vecs), res, steps_used)
+        lams, rows, res = zip(*pool)  # the last sweep's block itself if it is the rows in order
+        same = len(vecs) == k and all(map(np.may_share_memory, rows, vecs))
+        vecs = vecs if same else np.array(rows)
+        return SpectralResult(np.array(lams), _fix_signs(vecs), np.array(res), steps_used)
     raise ConvergenceError(
         f"Lanczos did not converge within {maxiter} iterations",
         best_residuals=best_residuals)

@@ -248,7 +248,8 @@ def _solve_level(chart, resolution, k_max):
     mesh = build_structured(chart.domain, resolution)
     a_mat, b_mat, dof_map = assemble(chart, mesh)
     result = solve_sparse(a_mat, b_mat, k_max)
-    result.vertex_values = vertex_fields(result, dof_map)
+    # the vertex values replace the reduced rows: one eigenvector array per level
+    result.vertex_values, result.vectors = vertex_fields(result, dof_map), None
     return mesh, result
 
 

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import math
+import sys
 import tracemalloc
 import types
 
@@ -17,8 +18,8 @@ from spectralab.eigensolve import (
     DENSE_LIMIT,
     _block_size,
     _inertia,
+    _lanczos_sweep,
     _relative_residuals,
-    _reserved_rows,
     _ritz_pairs,
     solve_dense,
     solve_sparse,
@@ -62,6 +63,7 @@ def _assert_sparse_matches_dense(a_mat, b_mat, k):
     assert rel.max() <= 1e-8
     gram = sparse.vectors @ (b_mat.to_csr() @ sparse.vectors.T)
     assert np.abs(gram - np.eye(k)).max() <= 1e-8
+    return dense, sparse
 
 
 @pytest.mark.parametrize("chart_id,params,eta,res", [
@@ -79,15 +81,26 @@ def test_sparse_matches_dense(chart_id, params, eta, res):
     _assert_sparse_matches_dense(a_mat, b_mat, 10)
 
 
-def test_block_sweep_matches_dense():
-    # k = 60 runs the sweep on blocks of more than one vector
-    chart = make_chart("flat_rectangle")
-    mesh = build_structured(chart.domain, 40)
-    a_mat, b_mat, _ = assemble(chart, mesh)
-    assert a_mat.dim == 1521
+def test_block_sweep_matches_dense(monkeypatch):
+    # k = 60 runs the sweep on blocks of p = 2 vectors, over more columns than
+    # the basis's max(2 k + 2 p, 80) = 124 rows: the sweep restarts.  The
+    # hemisphere has double eigenvalues, which the certificate must count.
     k = 60
-    assert _block_size(k) > 1
-    _assert_sparse_matches_dense(a_mat, b_mat, k)
+    assert _block_size(k) == 2
+    sweeps = _count_sweeps(monkeypatch)
+    for chart_id, params, res, dim in [("flat_rectangle", (), 40, 1521),
+                                       ("stereographic_sphere", (1.0,), 16, 1441)]:
+        chart = make_chart(chart_id, params)
+        a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, res))
+        assert a_mat.dim == dim
+        sweeps.clear()
+        dense, sparse = _assert_sparse_matches_dense(a_mat, b_mat, k)
+        assert max(result[3] for _, result in sweeps) > 124
+        lams = sparse.eigenvalues
+        assert _clusters(lams) == _clusters(dense.eigenvalues)
+        tau = 0.5 * (lams[-1] + lams[lams < lams[-1] * (1.0 - 1e-8)][-1])
+        assert _inertia(a_mat.to_csr(), b_mat.to_csr(), tau) == np.searchsorted(lams, tau)
+    assert max(_clusters(lams)) == 2
 
 
 def test_sparse_matches_eigsh_above_dense_limit():
@@ -452,20 +465,6 @@ def test_refused_basis_allocation_exits_two(tmp_path, capsys, monkeypatch):
     assert any(line.startswith("error MemoryError: ") for line in manifest)
 
 
-def test_basis_grown_from_a_small_reservation_gives_the_same_pairs(monkeypatch):
-    # the res-16 hemisphere at k = 13 has double eigenvalues and a fill sweep
-    a, b = _hemisphere(16)
-    default = solve_sparse(a, b, 13)
-    sweeps = _count_sweeps(monkeypatch)
-    monkeypatch.setattr(eigensolve, "_reserved_rows", lambda want, p, blocks: p)
-    grown = solve_sparse(a, b, 13)
-    # every sweep outgrew its one-block reservation
-    assert len(sweeps) > 1 and all(result[3] > 1 for _, result in sweeps)
-    assert np.array_equal(grown.eigenvalues, default.eigenvalues)
-    assert np.array_equal(grown.vectors, default.vectors)
-    assert np.array_equal(grown.residuals, default.residuals)
-
-
 def test_pairs_failing_after_the_probe_are_found_by_a_deflated_sweep(monkeypatch):
     # the probe passes but one formed pair is made to fail its residual test:
     # the sweep returns, and the pool keeps only the pairs that passed
@@ -493,29 +492,35 @@ def test_pairs_failing_after_the_probe_are_found_by_a_deflated_sweep(monkeypatch
     assert np.abs(gram - np.eye(10)).max() <= 1e-8
 
 
-def test_basis_reservation_follows_the_estimate():
-    # k = 100, p = 4 on 261,121 dofs, cap 50 k columns: 10.45 GB at the cap
-    n, blocks = 261_121, 50 * 100 // 4
-    assert (blocks + 1) * 4 * n * 8 > 10.4e9
-    assert _reserved_rows(100, 4, blocks) * n * 8 <= 1.5e9
-    # the columns measured at k = 13 (up to 72) and k = 100 (312), plus a block
-    assert _reserved_rows(13, 1, 650) >= 73 and _reserved_rows(100, 4, blocks) >= 316
-    assert _reserved_rows(100, 4, 10) == 44  # never beyond the cap
+def test_basis_is_reserved_once_at_the_restart_cap(monkeypatch):
+    # m_max = max(2 want + 2 p, 80) rows, or fewer where the space or the
+    # step cap ends the sweep first, and one block more: 0.44 GB at k = 100
+    # on 261,121 dofs.  The 80 rows hold the 36-72 columns that the measured
+    # sweeps at k = 13 use, so those do not restart.
+    shapes = []
+
+    def refuse(shape, *args, **kwargs):
+        shapes.append(shape)
+        raise MemoryError
+
+    monkeypatch.setattr(eigensolve, "np", _NumpyWith(refuse))
+    for n, want, p, step_cap, rows in [(261_121, 100, 4, 5000, 212), (261_121, 13, 1, 650, 81),
+                                       (1521, 60, 2, 3000, 126), (45, 7, 2, 350, 48),
+                                       (600, 10, 2, 39, 40)]:
+        identity = sp.identity(n, format="csr")
+        with pytest.raises(MemoryError):
+            _lanczos_sweep(None, identity, identity, None, None, want, step_cap, p)
+        assert shapes[-1] == (rows, n)
+    assert 212 * 261_121 * 8 <= 0.5e9
 
 
-def test_ritz_vectors_are_formed_inside_the_basis(monkeypatch):
-    # Ritz vectors beside the basis would add k n 8 bytes to the traced peak
+def test_solve_peak_is_the_basis_and_one_set_of_vectors():
+    # k = 100 on the res-64 square: the (m_max + p)-row basis, then the k rows
+    # it shrinks to, with no k x n copy of the pool or of |vectors| beside them
     chart = make_chart("flat_rectangle")
-    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 128))
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 64))
     a, b = a_mat.to_csr(), b_mat.to_csr()
-    k, n = 40, a.shape[0]
-    reserved = []
-
-    def empty(shape, *args, **kwargs):
-        reserved.append(8 * math.prod(shape))
-        return np.empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(eigensolve, "np", _NumpyWith(empty))
+    k, p, n = 100, _block_size(100), a.shape[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -523,21 +528,78 @@ def test_ritz_vectors_are_formed_inside_the_basis(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert reserved and peak < max(reserved) + 0.5 * k * n * 8
+    assert result.vectors.shape == (k, n)
+    assert peak < (max(2 * k + 2 * p, 80) + p) * n * 8 + k * n * 8
+
+
+def test_solve_under_a_tracer_gives_the_same_pairs():
+    # a trace function, as coverage tools and debuggers install, makes each
+    # frame's locals hold references to its arrays: the basis cannot be
+    # resized in place at the end of a sweep
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 16))
+    plain = solve_sparse(a_mat, b_mat, 10)
+
+    def trace(frame, event, arg):
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        traced = solve_sparse(a_mat, b_mat, 10)
+    finally:
+        sys.settrace(previous)
+    assert np.array_equal(traced.eigenvalues, plain.eigenvalues)
+    assert np.array_equal(traced.vectors, plain.vectors)
+
+
+def test_ritz_vectors_are_formed_inside_the_basis(monkeypatch):
+    # Ritz vectors beside the basis would add k n 8 bytes to a sweep's traced
+    # peak.  The sweep's own peak is measured: with the basis capped, the
+    # solve's is the inertia count's copy of its factor (18.0 MB here)
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 128))
+    a, b = a_mat.to_csr(), b_mat.to_csr()
+    k, n = 40, a.shape[0]
+    reserved, peaks, sweep = [], [], eigensolve._lanczos_sweep
+
+    def empty(shape, *args, **kwargs):
+        reserved.append(8 * math.prod(shape))
+        return np.empty(shape, *args, **kwargs)
+
+    def traced_sweep(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = sweep(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr(eigensolve, "np", _NumpyWith(empty))
+    monkeypatch.setattr(eigensolve, "_lanczos_sweep", traced_sweep)
+    tracemalloc.start()
+    try:
+        result = solve_sparse(a, b, k)
+    finally:
+        tracemalloc.stop()
+    assert reserved and max(peaks) < max(reserved) + 0.5 * k * n * 8
     assert result.vectors.shape == (k, n)
     assert result.vectors.flags.owndata and result.vectors.base is None
     assert np.all(result.residuals <= 1e-8)
 
 
-def test_sparse_matches_eigsh_with_multiplicities_above_dense_limit():
+def test_sparse_matches_eigsh_with_multiplicities_above_dense_limit(monkeypatch):
     a, b = _hemisphere(32)
     assert a.shape[0] == 5953 > DENSE_LIMIT
-    sparse = solve_sparse(a, b, 13)
-    ref = np.sort(spla.eigsh(a, 13, M=b, sigma=0, return_eigenvectors=False))
-    assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
-    sizes = _clusters(sparse.eigenvalues)
-    assert max(sizes) >= 2
-    assert sizes == _clusters(ref)
+    sweeps = _count_sweeps(monkeypatch)
+    for k in (13, 40):
+        sparse = solve_sparse(a, b, k)
+        ref = np.sort(spla.eigsh(a, k, M=b, sigma=0, return_eigenvectors=False))
+        assert np.max(np.abs(sparse.eigenvalues - ref) / ref) <= 1e-8
+        sizes = _clusters(sparse.eigenvalues)
+        assert max(sizes) >= 2
+        assert sizes == _clusters(ref)
+    # at k = 40 a sweep outgrew the basis's max(2 k + 2, 80) = 82 rows and restarted
+    assert max(result[3] for _, result in sweeps) > 82
 
 
 def test_step_capped_fill_sweep_reports_its_last_pairs(monkeypatch):

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralab import reporting
 from spectralab.errors import ConfigError, SpectralabError
 from spectralab.geometry import CHARTS
 from spectralab.reporting import (
@@ -154,3 +156,39 @@ def test_scenario_text_builds_a_chart_or_raises_module_error(chart_id, entries):
         build_chart(parse_config("\n".join(lines)))
     except SpectralabError:
         pass
+
+
+MANY_MODES_CONFIG = """
+scenario.name = many_modes
+chart.id = flat_rectangle
+eta.kind = zero
+tensor.kind = metric
+mesh.resolutions = 16 24
+eigen.k_max = 40
+checks = all
+appendix.c = 1
+constants.resolution = 16
+"""
+
+
+def test_checks_see_one_eigenvector_array_of_the_finest_level(monkeypatch):
+    # the vertex values replace the reduced rows in the SpectralResult, which
+    # the run keeps to its end: at the checks, no k x n array is left beside them
+    run_checks, arrays = reporting._run_checks, []
+
+    def counted(scenario, chart, consts, mesh, result):
+        interior = mesh.num_vertices - np.count_nonzero(mesh.boundary)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        arrays.append(sum(trace.size >= scenario.k_max * interior * 8
+                          for trace in snapshot.traces))
+        return run_checks(scenario, chart, consts, mesh, result)
+
+    monkeypatch.setattr(reporting, "_run_checks", counted)
+    tracemalloc.start()
+    try:
+        run = run_scenario(parse_config(MANY_MODES_CONFIG), write=False)
+    finally:
+        tracemalloc.stop()
+    assert run.exit_code == 0
+    assert arrays == [1]
