@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EvaluationError, MeshTooCoarseError, TensorError
+from .errors import EvaluationError, MeshTooCoarseError, ParameterError, TensorError
 from .geometry import chart_fields, contract, det_small, immersion_operator_terms, not_spd
 
 # bytes of per-point values held at once by an assembly block of cells, or
@@ -38,45 +38,59 @@ _TRI_PHI = np.array([[0.5, 0.5, 0.0],
                      [0.5, 0.0, 0.5]])
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseSymMatrix:
-    """Symmetric sparse matrix stored as its upper triangle (row <= col)."""
+    """Symmetric matrix held as ``csr``, canonical (sorted indices, no duplicates,
+    stored zeros kept), with ``indptr`` and ``indices`` shared by the matrices
+    built together; ``rows``, ``cols``, ``vals``: its upper triangle, row-major."""
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    csr: sp.csr_matrix
+    dim = property(lambda self: self.csr.shape[0])
+    rows = property(lambda self: sp.triu(self.csr, format="coo").row.astype(np.int64))
+    cols = property(lambda self: sp.triu(self.csr, format="coo").col.astype(np.int64))
+    vals = property(lambda self: sp.triu(self.csr, format="coo").data)
 
     @classmethod
     def from_shared_entries(cls, dim, rows, cols, *vals):
-        """One coalesced matrix per value array over the shared (row, col)
-        pattern, which is sorted once."""
-        order, starts, lo, hi = _sorted_pattern(dim, rows, cols)
-        return [cls(dim, lo, hi, np.add.reduceat(np.asarray(v, dtype=float)[order], starts))
-                for v in vals]
+        """One coalesced matrix per value array over the shared (row, col) pattern,
+        summed in entry order; the sort key is freed before the values are summed."""
+        key = np.minimum(rows, cols).astype(np.int64)
+        key *= dim
+        key += np.maximum(rows, cols)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        lo, hi = np.array(np.divmod(key[starts], dim), dtype=np.int32)
+        del key
+        vals = [np.add.reduceat(np.asarray(v, dtype=float)[order], starts) for v in vals]
+        # the mirrored strict upper triangle, then the upper triangle: each lists
+        # a row's columns in ascending order, so a stable sort on the row is CSR's
+        off = lo != hi
+        rows = np.concatenate([hi[off], lo])
+        order = np.argsort(rows, kind="stable")
+        indices = np.concatenate([lo[off], hi])[order]
+        indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
+        return [cls(sp.csr_matrix((np.concatenate([v[off], v])[order], indices, indptr),
+                                  shape=(dim, dim))) for v in vals]
 
     def to_csr(self):
-        """Full symmetric scipy CSR matrix."""
-        off = self.rows != self.cols
-        rows = np.concatenate([self.rows, self.cols[off]])
-        cols = np.concatenate([self.cols, self.rows[off]])
-        vals = np.concatenate([self.vals, self.vals[off]])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        """Full symmetric scipy CSR matrix, a copy."""
+        return self.csr.copy()
 
 
-def _sorted_pattern(dim, rows, cols):
-    """Stable sort order of upper-triangle entries, the start of each run of
-    equal entries in it, and the run's (row, col).  The key ``min * dim + max``
-    orders as a lexicographic sort on (min, max) does; it is freed on return,
-    before the values are reduced."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    key = np.minimum(rows, cols).astype(np.int64)
-    key *= dim
-    key += np.maximum(rows, cols)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    return (order, starts) + np.divmod(key[starts], dim)
+def csr_pencil(a, b):
+    """``A`` and ``B`` in CSR over one canonical pattern, stored zeros kept: one
+    ``indptr`` and ``indices`` array, a pair's own if it shares one (as assembled
+    pairs do), else the union of their upper triangles, the part that is read."""
+    a, b = (m.csr if isinstance(m, SparseSymMatrix) else sp.csr_matrix(m) for m in (a, b))
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"A and B are {a.shape} and {b.shape}, not square of one shape")
+    if a.indptr is b.indptr and np.shares_memory(a.indices, b.indices) and a.has_canonical_format:
+        return a, b
+    ua, ub = sp.triu(a, format="coo"), sp.triu(b, format="coo")
+    return tuple(m.csr for m in SparseSymMatrix.from_shared_entries(
+        a.shape[0], np.concatenate([ua.row, ub.row]), np.concatenate([ua.col, ub.col]),
+        np.concatenate([ua.data, np.zeros(ub.nnz)]), np.concatenate([np.zeros(ua.nnz), ub.data])))
 
 
 def _cell_geometry(mesh, cells=slice(None)):
@@ -120,22 +134,11 @@ def _dm_weight(chart, fields):
 
 
 def assemble(chart, mesh, dirichlet=True):
-    """Assemble the stiffness/mass pair of the weighted eigenproblem.
-
-    Parameters
-    ----------
-    chart : Chart
-    mesh : Mesh over the chart's parameter domain
-    dirichlet : bool
-        Eliminate boundary vertices (default).  With ``dirichlet=False``
-        all vertices are kept, which is useful for measure consistency
-        checks; the returned ``dof_map`` is then the identity.
-
-    Returns
-    -------
-    (A, B, dof_map) : SparseSymMatrix pair and an int array mapping vertex
-    index to reduced index (-1 on eliminated boundary vertices).
-    """
+    """The stiffness/mass pair of the weighted eigenproblem on ``mesh`` over
+    the chart's parameter domain: ``(A, B, dof_map)``, two SparseSymMatrix
+    over one CSR pattern and the reduced index of each vertex (-1 on
+    eliminated boundary vertices).  ``dirichlet=False`` keeps every vertex
+    (for measure consistency checks), and ``dof_map`` is then the identity."""
     ncells, nodes = mesh.cells.shape
     upper = np.triu_indices(nodes)  # local pairs (a, b), a <= b, in a fixed order
     a_vals = np.empty((len(upper[0]), ncells))

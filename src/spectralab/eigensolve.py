@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SparseSymMatrix
+from .assembly import csr_pencil
 from .errors import ConvergenceError, NotSPDError, ParameterError
 
 DENSE_LIMIT = 4000
@@ -43,10 +43,6 @@ class SpectralResult:
 
     def __len__(self):
         return len(self.eigenvalues)
-
-
-def _as_csr(matrix):
-    return matrix.to_csr() if isinstance(matrix, SparseSymMatrix) else sp.csr_matrix(matrix)
 
 
 def _fix_signs(vectors):
@@ -86,7 +82,7 @@ def solve_dense(a, b, k):
     Requires the pencil dimension to be at most 4000 and ``B`` to be
     symmetric positive definite.
     """
-    a_csr, b_csr = _as_csr(a), _as_csr(b)
+    a_csr, b_csr = csr_pencil(a, b)
     n = a_csr.shape[0]
     if n > DENSE_LIMIT:
         raise ParameterError(f"dense solver limited to {DENSE_LIMIT} dofs, got {n}")
@@ -249,13 +245,16 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
 
 
 def _factor(matrix, what):
-    """Symmetric ``LDL^T``-form LU of ``matrix`` without its stored zeros:
-    SuperLU on the ``MMD_AT_PLUS_A`` ordering with its pivots kept on the
-    diagonal (``perm_r == perm_c``), so ``U = D L^T``.  A singular or
-    off-diagonal pivot is an error in both uses; on ``A``, SPD for the
-    Dirichlet pencil, it is the pencil's one SPD check."""
-    matrix = matrix.tocsc()
-    matrix.eliminate_zeros()
+    """Symmetric ``LDL^T``-form LU of the symmetric CSR ``matrix`` without its
+    stored zeros: SuperLU gets the same arrays as CSC, or a compacted copy
+    (never in place: the pattern is shared), on the ``MMD_AT_PLUS_A`` ordering
+    with its pivots on the diagonal (``perm_r == perm_c``), so ``U = D L^T``.
+    A singular or off-diagonal pivot is an error in both uses; on ``A``, SPD
+    for the Dirichlet pencil, it is the pencil's one SPD check."""
+    matrix = matrix.T  # a CSC view: no copy
+    if not matrix.data.all():
+        matrix = matrix.copy()
+        matrix.eliminate_zeros()
     try:
         lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -266,16 +265,20 @@ def _factor(matrix, what):
     return lu
 
 
-def _inertia(a_csr, b_csr, tau):
+def _inertia(a, b, tau):
     """Number of eigenvalues of the pencil below ``tau``: by Sylvester's law
-    of inertia, the negative pivots of the factorization of ``A - tau B``."""
-    lu = _factor(a_csr - tau * b_csr, f"A - tau B for the inertia count (tau={tau})")
+    of inertia, the negative pivots of the factorization of ``A - tau B``,
+    whose values are one array over the pencil's CSR pattern."""
+    a_csr, b_csr = csr_pencil(a, b)
+    lu = _factor(sp.csr_matrix((a_csr.data - tau * b_csr.data, a_csr.indices, a_csr.indptr),
+                               shape=a_csr.shape), f"A - tau B for the inertia count (tau={tau})")
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def solve_sparse(a, b, k, maxiter=None):
     """Lowest ``k`` eigenpairs by block shift-invert Lanczos in the B inner
-    product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
+    product (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994);
+    ``a``, ``b`` are SparseSymMatrix or scipy sparse, one CSR pattern inside.
 
     ``A`` is factored once by :func:`_factor`, and the Krylov space is that of
     ``A^-1 B``.  Each step solves for a block of ``p = max(1, k // 25)``
@@ -286,17 +289,14 @@ def solve_sparse(a, b, k, maxiter=None):
     and 261k dofs; a refusal raises ``MemoryError``) ends as its vectors.  A
     block Krylov space sees at most ``p`` copies of an eigenvalue, so fill
     sweeps deflated against the pairs found so far run until there are ``k``.
-    Then the negative pivots of the same routine's factorization of
-    ``A - tau B``, ``tau`` just below the k-th value, count the eigenvalues
-    below ``tau`` (Sylvester's law of inertia; the factor of ``A`` is dropped
-    first).  If the pool holds fewer, a fill sweep looks for the missing
-    copies and the count is taken again; an uncertified pool is never
-    returned.  ``residuals`` are those with which each pair passed
-    ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda) |B x|`` in its sweep;
-    ``iterations`` counts the Krylov columns, one triangular solve each, at
-    most ``maxiter`` (default ``50 k``); ``a``, ``b`` are SparseSymMatrix or scipy sparse.
-    """
-    a_csr, b_csr = _as_csr(a), _as_csr(b)
+    Then :func:`_inertia` counts the eigenvalues below ``tau`` just below the
+    k-th value (the factor of ``A`` is dropped first).  If the pool holds
+    fewer, a fill sweep looks for the missing copies and the count is taken
+    again; an uncertified pool is never returned.  ``residuals`` are those
+    with which each pair passed ``|A x - lambda B x| <= DEFAULT_TOL (1+lambda)
+    |B x|`` in its sweep; ``iterations`` counts the Krylov columns, one
+    triangular solve each, at most ``maxiter`` (default ``50 k``)."""
+    a_csr, b_csr = csr_pencil(a, b)
     n = a_csr.shape[0]
     if k > n:
         raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")

@@ -349,11 +349,8 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
         n_targets = min(scenario.k_max, 5)
         for idx in range(n_targets):
             vals = [float(levels[res][1].eigenvalues[idx]) for res in scenario.resolutions]
-            for j, res in enumerate(scenario.resolutions):
-                if j >= 2:
-                    order, limit = _richardson(list(scenario.resolutions[:j + 1]), vals[:j + 1])
-                else:
-                    order, limit = math.nan, math.nan
+            for j, res in enumerate(scenario.resolutions):  # nan before the third level
+                order, limit = _richardson(list(scenario.resolutions[:j + 1]), vals[:j + 1])
                 conv_lines.append(
                     f"{idx + 1},{res},{_fmt(vals[j])},{_fmt(limit)},{_fmt(order)}")
         emit("convergence.csv", "\n".join(conv_lines) + "\n")

@@ -12,9 +12,12 @@ thread reads ``VmRSS`` every ``--interval`` seconds and charges the reading
 to the innermost phase running when it reads:
 
 * ``sweep``: ``eigensolve._lanczos_sweep``;
-* ``inertia``: ``eigensolve._inertia``, the count that certifies a solve;
+* ``factor A``: ``eigensolve._factor`` called outside the count: the shift;
+* ``factor A - tau B``: ``eigensolve._factor`` called from the count;
+* ``inertia``: the rest of ``eigensolve._inertia``, the count that
+  certifies a solve: its ``A - tau B`` values and the read of the pivots;
 * ``solve_sparse``: the rest of ``eigensolve.solve_sparse``, such as the
-  factor of ``A`` and the returned vectors;
+  pencil's CSR pattern and the returned vectors;
 * ``vertex_fields``: ``reporting.vertex_fields``;
 * ``checks``: ``reporting._run_checks``;
 * ``other``: everything else (charts, meshes, assembly, constants, writing).
@@ -47,10 +50,13 @@ import tracing  # noqa: E402
 
 from spectralab import eigensolve, reporting  # noqa: E402
 
-# (module, name, phase): the names each phase is wrapped at
+# (module, name, phase): the names each phase is wrapped at; a callable phase
+# is named from the stack of the phases running when the call starts
 PHASES = [
     (eigensolve, "_lanczos_sweep", "sweep"),
     (eigensolve, "_inertia", "inertia"),
+    (eigensolve, "_factor",
+     lambda stack: "factor A - tau B" if stack[-1:] == ["inertia"] else "factor A"),
     (reporting, "solve_sparse", "solve_sparse"),
     (reporting, "vertex_fields", "vertex_fields"),
     (reporting, "_run_checks", "checks"),
@@ -82,7 +88,7 @@ class PhaseSampler:
     def wrap(self, fn, phase):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            self.stack.append(phase)
+            self.stack.append(phase(self.stack) if callable(phase) else phase)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -128,9 +134,9 @@ def main(argv=None):
     print(f"# {args.workload} seed={args.seed} warm-up pass, VmRSS read every "
           f"{args.interval:g} s; peak per phase")
     for phase, peak in sorted(sampler.peaks.items(), key=lambda item: -item[1]):
-        print(f"{phase:16s} {peak:8.1f} MB")
+        print(f"{phase:18s} {peak:8.1f} MB")
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(f"{'ru_maxrss':16s} {peak_kib / 1024.0:8.1f} MB")
+    print(f"{'ru_maxrss':18s} {peak_kib / 1024.0:8.1f} MB")
 
 
 if __name__ == "__main__":

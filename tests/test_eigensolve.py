@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from helpers import pipeline
 from spectralab import eigensolve
-from spectralab.assembly import assemble
+from spectralab.assembly import assemble, csr_pencil
 from spectralab.cli import main
 from spectralab.eigensolve import (
     DENSE_LIMIT,
@@ -232,12 +232,8 @@ def test_singular_shift_rejected():
         solve_sparse(a, b, 1)
 
 
-def test_shift_factor_drops_stored_zeros(monkeypatch):
-    # the flat square's stiffness stores exact zeros on the diagonal edges;
-    # the shift factor has the fill of A - 0 B, which drops them
-    chart = make_chart("flat_rectangle")
-    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 16))
-    a, b = a_mat.to_csr(), b_mat.to_csr()
+def _recorded_factors(monkeypatch):
+    """Keep every SuperLU factor the solver makes, in call order."""
     factors = []
 
     def splu(*args, **kwargs):
@@ -245,7 +241,22 @@ def test_shift_factor_drops_stored_zeros(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(eigensolve, "spla", types.SimpleNamespace(splu=splu))
-    solve_sparse(a, b, 4)
+    return factors
+
+
+def test_shift_factor_drops_stored_zeros(monkeypatch):
+    # the flat square's stiffness stores exact zeros on the diagonal edges;
+    # the shift factor has the fill of A - 0 B, which drops them, and drops
+    # them in a copy: A and B share one pattern, and a solve writes neither
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 16))
+    a, b = a_mat.csr, b_mat.csr
+    assert a.indptr is b.indptr and np.shares_memory(a.indices, b.indices)
+    before = [x.copy() for m in (a, b) for x in (m.data, m.indices, m.indptr)]
+    factors = _recorded_factors(monkeypatch)
+    solve_sparse(a_mat, b_mat, 4)
+    after = [a.data, a.indices, a.indptr, b.data, b.indices, b.indptr]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     def fill(matrix):
         lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -255,6 +266,64 @@ def test_shift_factor_drops_stored_zeros(monkeypatch):
     assert np.count_nonzero(a.data == 0.0) > 0
     shift_fill = factors[0].L.nnz + factors[0].U.nnz
     assert shift_fill == fill(a - 0.0 * b) < fill(a)
+
+
+def test_inertia_holds_one_value_array_beside_the_pivot_read(monkeypatch):
+    # numpy allocations of the count: the values of A - tau B over the shared
+    # pattern while it is factored (no scaled B, no second pattern, no CSC
+    # copy), then the L and U copy, 12 bytes an entry, that reading the
+    # pivots makes
+    chart = make_chart("flat_rectangle")
+    a_mat, b_mat, _ = assemble(chart, build_structured(chart.domain, 48))
+    factors, held = _recorded_factors(monkeypatch), []
+    splu = eigensolve.spla.splu
+
+    def held_splu(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "splu", held_splu)
+    tracemalloc.start()
+    try:
+        assert _inertia(a_mat, b_mat, 60.0) == 3  # pi^2 (m^2 + n^2): 2, 5 and 5 pi^2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lu, n, nnz = factors[0], a_mat.dim, a_mat.csr.nnz
+    assert held[0] <= 8 * nnz + 8 * n
+    assert peak <= 12 * (lu.L.nnz + lu.U.nnz) + 8 * nnz + 32 * n
+
+
+def test_pencil_on_differing_patterns_solves_on_their_union():
+    # A: a path Laplacian with an explicit stored zero off its band; B:
+    # diagonal.  Both go onto one pattern, the union, which keeps the zero
+    n, k = 40, 6
+    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    a[0, 7] = a[7, 0] = 1.0
+    a = a.tocsr()
+    a.data[a.data == 1.0] = 0.0
+    b = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    before = [x.copy() for m in (a, b) for x in (m.data, m.indices, m.indptr)]
+    a_csr, b_csr = csr_pencil(a, b)
+    assert a_csr.indptr is b_csr.indptr and np.shares_memory(a_csr.indices, b_csr.indices)
+    assert a_csr.nnz == a.nnz and np.count_nonzero(a_csr.data == 0.0) == 2
+    assert np.array_equal(a_csr.toarray(), a.toarray())
+    assert np.array_equal(b_csr.toarray(), b.toarray())
+    dense = solve_dense(a, b, k).eigenvalues
+    result = solve_sparse(a, b, k)
+    assert np.allclose(result.eigenvalues, dense, rtol=1e-10, atol=0)
+    tau = 0.5 * (dense[-1] + solve_dense(a, b, k + 1).eigenvalues[-1])
+    assert _inertia(a, b, tau) == k
+    after = [a.data, a.indices, a.indptr, b.data, b.indices, b.indptr]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+@pytest.mark.parametrize("b_dim,a_cols", [(6, 5), (5, 6)])
+def test_pencil_of_mismatched_shapes_rejected(b_dim, a_cols):
+    a = sp.random(5, a_cols, density=0.5, random_state=1, format="csr")
+    for solve in (solve_dense, solve_sparse):
+        with pytest.raises(ParameterError, match="not square of one shape"):
+            solve(a, sp.identity(b_dim, format="csr"), 2)
 
 
 def test_convergence_error_carries_residuals():
