@@ -24,10 +24,12 @@ import scipy.sparse as sp
 from .errors import EvaluationError, MeshTooCoarseError, ParameterError, TensorError
 from .geometry import chart_fields, contract, det_small, immersion_operator_terms, not_spd
 
-# bytes of per-point values held at once by an assembly block of cells, or
-# by a block of the check integrals with its eigenfunction values; it bounds
-# the block's share of the peak memory
-BLOCK_BYTES = 1 << 24
+# bytes of per-point values held at once by a block of the per-point stages:
+# assembly's cells, the check integrals' cells with their eigenfunction
+# values, and the constants' sample points; it bounds the block's share of
+# the peak memory.  4 MB: smaller blocks lowered no peak further and slowed
+# the check integrals by a third or more (timings in the README)
+BLOCK_BYTES = 1 << 22
 
 # reference quadrature
 _GAUSS_1D = (np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
@@ -146,12 +148,10 @@ def assemble(chart, mesh, dirichlet=True):
     first_bad = None
     # every value is computed per point or per cell, so contiguous cell
     # blocks give the same floats as one pass over the mesh
-    step = max(1, BLOCK_BYTES // (nodes * _point_bytes(chart)))  # one point per node
-    for lo in range(0, ncells, step):
-        block = slice(lo, lo + step)
+    for block in blocks(ncells, nodes * _point_bytes(chart)):  # one point per node
         a_vals[:, block], b_vals[:, block], bad = _element_entries(chart, mesh, block, upper)
         if first_bad is None and np.any(bad):
-            first_bad = lo + int(np.argmax(bad))
+            first_bad = block.start + int(np.argmax(bad))
     if first_bad is not None:  # after every block: errors from the fields come first
         raise TensorError(
             f"coefficient tensor not positive definite at a quadrature point of cell {first_bad}")
@@ -170,6 +170,13 @@ def assemble(chart, mesh, dirichlet=True):
     rows, cols, a_vals, b_vals = rows[keep], cols[keep], a_vals[keep], b_vals[keep]
     a_mat, b_mat = SparseSymMatrix.from_shared_entries(dofs, rows, cols, a_vals, b_vals)
     return a_mat, b_mat, dof_map
+
+
+def blocks(count, item_bytes):
+    """Contiguous slices covering ``range(count)`` in order, each of at most
+    ``BLOCK_BYTES // item_bytes`` items and at least one."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _point_bytes(chart):
@@ -217,12 +224,11 @@ class EigenfunctionQuadrature:
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
         values = np.ascontiguousarray(self.vertex_values.T)  # vertex_fields' (V, k) array
         cell_bytes = mesh.cells.shape[1] * _check_point_bytes(chart, values.shape[1])
-        step = max(1, BLOCK_BYTES // cell_bytes)
         # the rows of _block_integrals summed over cell blocks, and the
         # largest |T(grad h, grad h)| per ambient axis
         self._sums = self._t_hh_max = 0.0
-        for lo in range(0, mesh.num_cells, step):
-            sums, t_hh_max = _block_integrals(chart, mesh, slice(lo, lo + step), values)
+        for block in blocks(mesh.num_cells, cell_bytes):
+            sums, t_hh_max = _block_integrals(chart, mesh, block, values)
             self._sums = self._sums + sums
             self._t_hh_max = np.maximum(self._t_hh_max, t_hh_max)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -480,18 +480,32 @@ def contract(spec, *operands):
 
     Agrees with einsum to roundoff, not bit for bit; on these tiny per-point
     matrices it beats both einsum and batched ``@`` (timings in the README).
+    The terms are planned once per spec and operand shapes without the batch
+    axis (:func:`_contract_plan`), so a call costs one pass over its terms.
     """
+    shape, terms = _contract_plan(spec, tuple(op.shape[1:] for op in operands))
+    out = np.zeros((operands[0].shape[0],) + shape)
+    for at, where in terms:
+        out[at] += reduce(np.multiply, [op[index] for op, index in zip(operands, where)])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(spec, shapes):
+    """The output shape of :func:`contract` without the batch axis, and its
+    terms: each an output index and one index per operand, free labels
+    outermost, then the summed labels in order of first appearance."""
     inputs, output = spec.split("->")
     inputs = inputs.split(",")
-    sizes = {c: size for labels, op in zip(inputs, operands) for c, size in zip(labels, op.shape)}
+    sizes = {c: size for labels, shape in zip(inputs, shapes)
+             for c, size in zip(labels[1:], shape)}
     order = output[1:] + "".join(c for c in sizes if c not in output)  # free, then summed
-    out = np.zeros([sizes[c] for c in output])
+    terms = []
     for index in np.ndindex(*[sizes[c] for c in order]):
         at = dict(zip(order, index))
-        out[(slice(None),) + index[:len(output) - 1]] += reduce(np.multiply, [
-            op[(slice(None),) + tuple(at[c] for c in labels[1:])]
-            for labels, op in zip(inputs, operands)])
-    return out
+        terms.append(((slice(None),) + index[:len(output) - 1],
+                      tuple((slice(None),) + tuple(at[c] for c in labels[1:]) for labels in inputs)))
+    return tuple(sizes[c] for c in output[1:]), tuple(terms)
 
 
 def _gram(jac):
@@ -570,15 +584,6 @@ def not_spd(fields):
     eig = pair_eigenvalues(fields.t, fields.g)
     scale = np.maximum(np.abs(eig).max(axis=1), 1.0)
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
-
-
-def check_tensor_spd(fields):
-    """Raise :class:`TensorError` if T is not SPD relative to g at a sample."""
-    bad = not_spd(fields)
-    if np.any(bad):
-        where = fields.points[bad][0]
-        raise TensorError(
-            f"coefficient tensor not positive definite at sample {tuple(where.tolist())}")
 
 
 def second_fundamental_form(chart, fields):
@@ -781,6 +786,19 @@ def compute_constants(chart, resolution):
     ``sample_grid`` (boundary included); the unweighted volume is computed
     by Gauss quadrature of ``sqrt(det g)``.
 
+    The grid is evaluated in contiguous blocks of points within
+    ``spectralab.assembly.BLOCK_BYTES`` (:func:`_constants_point_bytes` a
+    point), and each constant is the max or min of the blocks' extremes, so
+    no constant depends on the block size.  The quadrature runs on the same
+    blocks and writes its ``sqrt(det g)`` into one array, summed once.  Peak
+    memory is one block plus the grid, the quadrature points and weights and
+    one value per quadrature point.
+
+    A :class:`DegeneracyError` or :class:`EvaluationError` from any block is
+    raised before a :class:`TensorError`, which names the first sample of the
+    whole grid where T is not positive definite.  So on a grid with both
+    faults the field error is raised, even where it lies past that sample.
+
     Parameters
     ----------
     chart : Chart
@@ -791,50 +809,36 @@ def compute_constants(chart, resolution):
     -------
     GeometricConstants
     """
+    from .assembly import blocks  # assembly imports this module
+
     if resolution < 8:
         raise ParameterError("constants resolution must be at least 8 points per axis")
     pts = chart.domain.sample_grid(resolution)
-    fields = chart_fields(chart, pts)
-    if not (np.all(np.isfinite(fields.g)) and np.all(np.isfinite(fields.t))):
-        raise EvaluationError("non-finite metric or tensor values on the sample grid")
-    check_tensor_spd(fields)
-
-    deta = chart.eta.gradient(pts)
-    eta0 = float(np.sqrt(np.maximum(
-        contract("pij,pi,pj->p", fields.ginv, deta, deta), 0.0)).max())
-
-    # drifting Laplacian of eta (coefficient tensor = metric)
-    eta_bar0 = float(apply_operator_pointwise(
-        chart, chart.eta, pts, identity_tensor=True).max())
-
-    if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, fields)
-        h0 = float(np.linalg.norm(mean_curv, axis=1).max())
-        a0 = float(_shape_norms(fields, alpha).max())
-    else:
-        h0 = 0.0
-        a0 = 0.0
-
-    ginv_t = contract("pia,pab->pib", fields.ginv, fields.t)
-    t_star = float(np.sqrt(np.maximum(contract("pij,pji->p", ginv_t, ginv_t), 0.0)).max())
-    tr_t = contract("pij,pji->p", fields.ginv, fields.t)
-    t0 = float(trace_grad_tensor(chart, fields)[1].max())
+    point_bytes = _constants_point_bytes(chart)
+    extremes, first_bad = [], None
+    for block in blocks(len(pts), point_bytes):
+        block_extremes, bad = _block_extremes(chart, pts[block])
+        extremes.append(block_extremes)
+        if first_bad is None and np.any(bad):
+            first_bad = block.start + int(np.argmax(bad))
+    if first_bad is not None:  # after every block: errors from the fields come first
+        raise TensorError("coefficient tensor not positive definite at sample "
+                          f"{tuple(pts[first_bad].tolist())}")
+    del pts
+    # max or min over the blocks, NaN-propagating as over the whole grid
+    consts = {name: float((np.min if name == "tr_t_inf" else np.max)(
+        [block_extremes[name] for block_extremes in extremes])) for name in extremes[0]}
 
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)
-    gq = _gram(chart.immersion.jacobian(qpts))
-    vol = float((qwts * np.sqrt(det_small(gq))).sum())
+    weighted = np.empty(len(qwts))  # sqrt(det g), then times the weights
+    for block in blocks(len(qwts), point_bytes):
+        weighted[block] = np.sqrt(det_small(_gram(chart.immersion.jacobian(qpts[block]))))
+    weighted *= qwts
 
     return GeometricConstants(
-        eta0=eta0,
-        eta_bar0=eta_bar0,
-        h0=h0,
-        a0=a0,
-        t_star=t_star,
-        t0=t0,
-        tr_t_inf=float(tr_t.min()),
-        tr_t_sup=float(tr_t.max()),
-        vol_omega=vol,
+        **consts,
+        vol_omega=float(weighted.sum()),
         dim_n=chart.dim_n,
         dim_m=chart.dim_m,
         sample_resolution=resolution,
@@ -844,6 +848,48 @@ def compute_constants(chart, resolution):
             "quadrature_nodes": qnodes,
         },
     )
+
+
+def _constants_point_bytes(chart):
+    """Bytes per sample point a block of :func:`compute_constants` holds at
+    once: the Jacobian, g, g^-1, T and K, the larger of the second fundamental
+    form's temporaries (two normal projections, the Hessian, J g^-1 and the
+    second-form products) and the six ``n^3`` arrays of ``tr(nabla T)``'s
+    differences, and 16 scalars."""
+    m, n = chart.dim_m, chart.dim_n
+    return 8 * (m * n + 4 * n * n + max(2 * m * m + 2 * m * n * n + m * n, 6 * n ** 3) + 16)
+
+
+def _block_extremes(chart, pts):
+    """The extremes of the constants' fields over the sample points ``pts``,
+    by :class:`GeometricConstants` field name, and the mask of the points
+    where T is not positive definite."""
+    fields = chart_fields(chart, pts)
+    if not (np.all(np.isfinite(fields.g)) and np.all(np.isfinite(fields.t))):
+        raise EvaluationError("non-finite metric or tensor values on the sample grid")
+    bad = not_spd(fields)
+
+    deta = chart.eta.gradient(pts)
+    eta0 = np.sqrt(np.maximum(contract("pij,pi,pj->p", fields.ginv, deta, deta), 0.0)).max()
+    del deta
+    # drifting Laplacian of eta (coefficient tensor = metric)
+    eta_bar0 = apply_operator_pointwise(chart, chart.eta, pts, identity_tensor=True).max()
+
+    if chart.dim_m > chart.dim_n:
+        _, alpha, mean_curv = second_fundamental_form(chart, fields)
+        h0 = np.linalg.norm(mean_curv, axis=1).max()
+        a0 = _shape_norms(fields, alpha).max()
+        del alpha, mean_curv
+    else:
+        h0 = a0 = 0.0
+
+    ginv_t = contract("pia,pab->pib", fields.ginv, fields.t)
+    t_star = np.sqrt(np.maximum(contract("pij,pji->p", ginv_t, ginv_t), 0.0)).max()
+    del ginv_t
+    tr_t = contract("pij,pji->p", fields.ginv, fields.t)
+    t0 = trace_grad_tensor(chart, fields)[1].max()
+    return dict(eta0=eta0, eta_bar0=eta_bar0, h0=h0, a0=a0, t_star=t_star, t0=t0,
+                tr_t_inf=tr_t.min(), tr_t_sup=tr_t.max()), bad
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ to the innermost phase running when it reads:
   pencil's CSR pattern and the returned vectors;
 * ``vertex_fields``: ``reporting.vertex_fields``;
 * ``checks``: ``reporting._run_checks``;
-* ``other``: everything else (charts, meshes, assembly, constants, writing).
+* ``constants``: ``reporting.compute_constants``, the geometric constants;
+* ``assembly``: ``reporting.assemble``, the pencil of one mesh level;
+* ``other``: everything else (charts, meshes, writing).
 
 It prints the peak of each phase in MB, then the process's ``ru_maxrss``,
 which the benchmark reports as ``peak_rss_mb``.  A peak shorter than the
@@ -60,6 +62,8 @@ PHASES = [
     (reporting, "solve_sparse", "solve_sparse"),
     (reporting, "vertex_fields", "vertex_fields"),
     (reporting, "_run_checks", "checks"),
+    (reporting, "compute_constants", "constants"),
+    (reporting, "assemble", "assembly"),
 ]
 
 

@@ -1,13 +1,15 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import AmbientCoordinate, reference_assemble
+from spectralab import assembly, geometry
 from spectralab.assembly import assemble
-from spectralab.errors import DegeneracyError, ParameterError, TensorError
+from spectralab.errors import DegeneracyError, EvaluationError, ParameterError, TensorError
 from spectralab.expressions import compile_expression
 from spectralab.geometry import (
     CHARTS,
@@ -287,6 +289,90 @@ def test_indefinite_tensor_rejected():
     chart = make_chart("flat_rectangle", tensor=make_tensor("diag", (1.0, -1.0)))
     with pytest.raises(TensorError, match=r"definite at sample \(0\.0, 0\.0\)$"):
         compute_constants(chart, 8)
+
+
+def _expression_fields_chart(chart_id):
+    """The catalog chart with an expression weight and an expression tensor."""
+    if CHARTS[chart_id].dim == 1:
+        return make_chart(chart_id, eta=make_eta("expr", expr="0.5*x*x", dim=1),
+                          tensor=make_tensor("expr", expr="1 + x*x", dim=1))
+    return make_chart(chart_id, eta=make_eta("expr", expr="0.3*sin(x)*y", dim=2),
+                      tensor=make_tensor("expr", expr="1 + 0.2*y; 0.1*x; 1.5", dim=2))
+
+
+@pytest.mark.parametrize("chart_id", sorted(CHARTS))
+def test_constants_independent_of_block_size(monkeypatch, chart_id):
+    # the expression fields run the weight's operator and tr(nabla T) on blocks
+    chart = _expression_fields_chart(chart_id)
+    resolution = 12 if chart.dim_n == 2 else 50
+    points = len(chart.domain.sample_grid(resolution))
+    points_per_block = 7
+    assert points > 5 * points_per_block and points % points_per_block
+    calls = []
+    block_extremes = geometry._block_extremes
+    monkeypatch.setattr(geometry, "_block_extremes",
+                        lambda chart, pts: calls.append(len(pts)) or block_extremes(chart, pts))
+    results = []
+    # many blocks with a ragged last one, then one
+    for block_bytes in (points_per_block * geometry._constants_point_bytes(chart), 1 << 40):
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
+        results.append(compute_constants(chart, resolution).as_dict())
+    assert calls == [points_per_block] * (points // points_per_block) + [
+        points % points_per_block, points]
+    assert results[0] == results[1]
+
+
+def test_constants_tensor_error_after_every_block(monkeypatch):
+    # indefinite where x > 0.7 only: the first bad sample, (0.75, 0.0) at 54
+    # of the 81 grid points, lies many 7-point blocks in
+    chart = make_chart("flat_rectangle", tensor=make_tensor("expr", expr="1; 0; 0.7 - x", dim=2))
+    point_bytes = geometry._constants_point_bytes(chart)
+    for points_per_block in (7, 81):
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", points_per_block * point_bytes)
+        with pytest.raises(TensorError, match=r"definite at sample \(0\.75, 0\.0\)$"):
+            compute_constants(chart, 8)
+    # T is indefinite from the first sample on, and the weight is not finite
+    # where x > 0.7: the field error of a later block comes first
+    chart = make_chart("flat_rectangle", eta=make_eta("expr", expr="sqrt(0.7 - x)", dim=2),
+                       tensor=make_tensor("expr", expr="1; 0; x - 0.3", dim=2))
+    for points_per_block in (7, 81):
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", points_per_block * point_bytes)
+        with pytest.raises(EvaluationError):
+            compute_constants(chart, 8)
+
+
+def test_constants_peak_memory_bounded_by_block_budget():
+    # the per-point fields live one block of sample points at a time, so what
+    # stays is the budget plus at most 32 B a sample or quadrature point: the
+    # grid, the quadrature points and weights, and one value per point
+    chart = make_chart("stereographic_sphere", (1.0,))
+    resolution = 256
+    points = (len(chart.domain.sample_grid(resolution))
+              + len(chart.domain.quadrature(resolution)[1]))
+    tracemalloc.start()
+    try:
+        compute_constants(chart, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= assembly.BLOCK_BYTES + 32 * points
+    # one block stays within its per-point count, for the metric tensor,
+    # a diagonal tensor, expression fields and a curve
+    for chart in (make_chart("stereographic_sphere", (1.0,), eta=make_eta("radial_quadratic", (0.2,))),
+                  make_chart("flat_rectangle", tensor=make_tensor("diag", (1.0, 2.0))),
+                  _expression_fields_chart("cylinder"), _expression_fields_chart("flat_interval")):
+        point_bytes = geometry._constants_point_bytes(chart)
+        count = assembly.BLOCK_BYTES // point_bytes
+        pts = chart.domain.sample_grid(80 if chart.dim_n == 2 else 4 * count)[:count]
+        assert len(pts) == count
+        geometry._block_extremes(chart, pts[:10])  # contract's plans are built once, apart
+        tracemalloc.start()
+        try:
+            geometry._block_extremes(chart, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * point_bytes
 
 
 def test_low_resolution_rejected():
