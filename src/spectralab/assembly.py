@@ -95,9 +95,9 @@ def csr_pencil(a, b):
         np.concatenate([ua.data, np.zeros(ub.nnz)]), np.concatenate([np.zeros(ua.nnz), ub.data])))
 
 
-def _cell_geometry(mesh, cells=slice(None)):
+def _cell_geometry(mesh, cells):
     """Quadrature points, chart-measure weights and P1 gradients per cell,
-    for the cells selected by ``cells`` (all by default)."""
+    for the cells selected by ``cells``."""
     verts = mesh.vertices[mesh.cells[cells]]
     if mesh.dim == 1:
         h = verts[:, 1, 0] - verts[:, 0, 0]
@@ -135,12 +135,11 @@ def _dm_weight(chart, fields):
     return weight * np.sqrt(det_small(fields.g))
 
 
-def assemble(chart, mesh, dirichlet=True):
+def assemble(chart, mesh):
     """The stiffness/mass pair of the weighted eigenproblem on ``mesh`` over
     the chart's parameter domain: ``(A, B, dof_map)``, two SparseSymMatrix
     over one CSR pattern and the reduced index of each vertex (-1 on
-    eliminated boundary vertices).  ``dirichlet=False`` keeps every vertex
-    (for measure consistency checks), and ``dof_map`` is then the identity."""
+    eliminated boundary vertices)."""
     ncells, nodes = mesh.cells.shape
     upper = np.triu_indices(nodes)  # local pairs (a, b), a <= b, in a fixed order
     a_vals = np.empty((len(upper[0]), ncells))
@@ -156,7 +155,7 @@ def assemble(chart, mesh, dirichlet=True):
         raise TensorError(
             f"coefficient tensor not positive definite at a quadrature point of cell {first_bad}")
 
-    kept = ~mesh.boundary if dirichlet else np.ones(mesh.num_vertices, dtype=bool)
+    kept = ~mesh.boundary
     if not np.any(kept):
         raise MeshTooCoarseError("no interior degrees of freedom after elimination")
     dofs = int(kept.sum())

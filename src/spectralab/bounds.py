@@ -2,10 +2,9 @@
 
 Every checker takes an ascending positive :class:`Spectrum` (computed,
 closed-form or synthetic) and returns one or more :class:`BoundReport`
-records with the raw left/right-hand sides, the verdict under a relative
-slack, and a digest of the constants that entered.  Verdicts use slack
-1e-9 on closed-form/synthetic spectra and at least 1e-6 on computed
-spectra, so no verdict hides its margin.
+records with the raw left/right-hand sides and the verdict under a
+relative slack.  Verdicts use slack 1e-9 on closed-form/synthetic spectra
+and at least 1e-6 on computed spectra, so no verdict hides its margin.
 
 Conventions: within a check, ``lhs <= rhs`` is the asserted inequality
 (lower bounds are reported with the bound on the left), ``Lambda_i``
@@ -20,7 +19,7 @@ once below and called by every check that uses them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,7 +70,6 @@ class BoundReport:
     slack: float
     note: str = ""
     skipped: bool = False
-    inputs: dict = field(default_factory=dict)
 
     def csv_row(self):
         holds = "true" if self.holds else "false"
@@ -79,19 +77,17 @@ class BoundReport:
                 f"{self.ratio:.17g},{holds},{self.slack:.17g}")
 
 
-def _report(name, k, lhs, rhs, slack, note="", inputs=None):
+def _report(name, k, lhs, rhs, slack, note=""):
     if rhs != 0.0:
         ratio = lhs / rhs
     else:
         ratio = 1.0 if lhs == 0.0 else math.inf
     holds = lhs <= rhs * (1.0 + slack)
-    return BoundReport(name, k, float(lhs), float(rhs), float(ratio), bool(holds),
-                       slack, note=note, inputs=dict(inputs or {}))
+    return BoundReport(name, k, float(lhs), float(rhs), float(ratio), bool(holds), slack, note)
 
 
-def _skipped(name, k, slack, note, inputs=None):
-    return BoundReport(name, k, math.nan, math.nan, math.nan, False, slack,
-                       note=note, skipped=True, inputs=dict(inputs or {}))
+def _skipped(name, k, slack, note):
+    return BoundReport(name, k, math.nan, math.nan, math.nan, False, slack, note, skipped=True)
 
 
 def _check_k(spec, k):
@@ -177,11 +173,8 @@ def check_thm_drift(spec, consts, k):
     sum (L_i)^2 <= (4/n) sum L_i (lambda_i + shift),  L_i = lambda_{k+1} - lambda_i.
     """
     slack = _check_k(spec, k)
-    shift = shift_constant(consts)
-    lhs, rhs = _quadratic_gap_form(spec.values, spec.n, k, offset=shift)
-    return _report("thm_drift", k, lhs, rhs, slack,
-                   inputs={"shift": shift, "h0": consts.h0, "eta0": consts.eta0,
-                           "eta_bar0": consts.eta_bar0})
+    lhs, rhs = _quadratic_gap_form(spec.values, spec.n, k, offset=shift_constant(consts))
+    return _report("thm_drift", k, lhs, rhs, slack)
 
 
 def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None):
@@ -204,10 +197,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None):
                  + c0 ** 2 + 4.0 * c0 * np.sqrt(lam[:k]) + 4.0 * lam[:k])
         lhs = float(consts.tr_t_inf * (gaps ** 2).sum())
         rhs = float((gaps * per_i).sum())
-        return _report("thm_tensor_inf", k, lhs, rhs, slack,
-                       inputs={"tr_t_inf": consts.tr_t_inf, "a0": consts.a0,
-                               "t_star": consts.t_star, "t0": consts.t0,
-                               "eta0": consts.eta0, "codim": codim})
+        return _report("thm_tensor_inf", k, lhs, rhs, slack)
     if mode != "integrated":
         raise ParameterError(f"unknown thm_tensor mode {mode!r}")
     if quad is None:
@@ -215,8 +205,7 @@ def check_thm_tensor(spec, consts, k, mode="inf_trace", quad=None):
     tr_t, square, cross = quad.tensor_integrals(k).T
     lhs = float((gaps ** 2 * tr_t).sum())
     rhs = float((gaps * (square + 4.0 * cross + 4.0 * lam[:k])).sum())
-    return _report("thm_tensor_integrated", k, lhs, rhs, slack,
-                   inputs={"mode": "integrated"})
+    return _report("thm_tensor_integrated", k, lhs, rhs, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +249,9 @@ def check_polya_type(shifted, n, vol, k):
     if k < 1 or k > len(shifted):
         raise ParameterError(f"k={k} out of range")
     slack = shifted.default_slack
-    w = weyl_constant(n, vol)
-    bound, mean = _mean_lower_form(shifted.values, n, k, w,
-                                   n / math.sqrt((n + 2.0) * (n + 4.0)))
-    return _report("polya_type", k, bound, mean, slack,
-                   inputs={"vol": vol, "weyl_constant": w})
+    coeff = n / math.sqrt((n + 2.0) * (n + 4.0))
+    return _report("polya_type", k,
+                   *_mean_lower_form(shifted.values, n, k, weyl_constant(n, vol), coeff), slack)
 
 
 def check_cheng_yang_type(shifted, n, k):
@@ -299,7 +286,7 @@ def recursion_lemma(spec, n, c, k):
 
     The quadratic-gap hypothesis with parameter ``c`` is tested first; when
     it fails the lemma is reported as skipped (not applicable), never as a
-    violation.  The report's inputs carry ``C`` and ``F_k``.
+    violation.
     """
     slack = _check_k(spec, k)
     name = f"recursion_lemma(c={c:g})"
@@ -309,11 +296,8 @@ def recursion_lemma(spec, n, c, k):
         return _skipped(name, k, slack,
                         f"hypothesis failed: {hyp_lhs:g} > {hyp_rhs:g}; lemma not applicable")
     c_val = recursion_constant(n, k, c)
-    f_k = _f_value(v, n, c, k)
-    rhs = c_val * ((k + 1.0) / k) ** (4.0 * c / n) * f_k
-    report = _report(name, k, _f_value(v, n, c, k + 1), rhs, slack,
-                     inputs={"C": c_val, "F_k": f_k,
-                             "hyp_lhs": hyp_lhs, "hyp_rhs": hyp_rhs})
+    rhs = c_val * ((k + 1.0) / k) ** (4.0 * c / n) * _f_value(v, n, c, k)
+    report = _report(name, k, _f_value(v, n, c, k + 1), rhs, slack)
     if not (0.0 < c_val < 1.0):
         report.holds = False
         report.note = f"recursion constant out of range: C={c_val:g}"
@@ -329,8 +313,7 @@ def lemma_c_bound(spec, n, c, k):
     if not ok:
         return _skipped(name, k, slack,
                         f"hypothesis failed: {hyp_lhs:g} > {hyp_rhs:g}; bound not applicable")
-    return _report(name, k, *_growth_form(v, n, k, c), slack,
-                   inputs={"hyp_lhs": hyp_lhs, "hyp_rhs": hyp_rhs})
+    return _report(name, k, *_growth_form(v, n, k, c), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +399,7 @@ def intro_comparators(spec, n, k, consts=None):
                                 "negative bracket: Yang-form hypothesis violated"))
     if vol is not None:
         w = weyl_constant(n, vol)
-        reports.append(_report("li_yau", k, *_mean_lower_form(v, n, k, w, n / (n + 2.0)),
-                               slack, inputs={"vol": vol}))
+        reports.append(_report("li_yau", k, *_mean_lower_form(v, n, k, w, n / (n + 2.0)), slack))
     else:
         reports.append(_skipped("li_yau", k, slack, "volume not supplied"))
 
@@ -425,15 +407,12 @@ def intro_comparators(spec, n, k, consts=None):
     raw_gaps = lam[k] - lam[:k]
     curv = n ** 2 * h0 ** 2 / 4.0
     reports.append(_report("chen_cheng_quadratic", k,
-                           *_quadratic_gap_form(lam, n, k, offset=curv),
-                           slack, inputs={"h0": h0}))
-    reports.append(_report("chen_cheng_linear", k, *_linear_form(lam, n, k, offset=curv),
-                           slack, inputs={"h0": h0}))
+                           *_quadratic_gap_form(lam, n, k, offset=curv), slack))
+    reports.append(_report("chen_cheng_linear", k, *_linear_form(lam, n, k, offset=curv), slack))
     xia_xu_terms = 4.0 * lam[:k] + 4.0 * eta0 * np.sqrt(lam[:k]) \
         + n ** 2 * h0 ** 2 + eta0 ** 2
     reports.append(_report("xia_xu", k, float((raw_gaps ** 2).sum()),
-                           float((raw_gaps * xia_xu_terms).sum() / n), slack,
-                           inputs={"h0": h0, "eta0": eta0}))
+                           float((raw_gaps * xia_xu_terms).sum() / n), slack))
     return reports
 
 

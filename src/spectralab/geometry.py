@@ -67,9 +67,7 @@ class Rectangle:
 
     def sample_grid(self, resolution):
         """Uniform grid with ``resolution + 1`` points per axis, boundary included."""
-        axes = [np.linspace(a, b, resolution + 1) for a, b in self.bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _product_points([np.linspace(a, b, resolution + 1) for a, b in self.bounds])
 
     def quadrature(self, nodes_per_axis):
         rules = [np.polynomial.legendre.leggauss(nodes_per_axis) for _ in self.bounds]
@@ -77,12 +75,7 @@ class Rectangle:
         for (x, w), (a, b) in zip(rules, self.bounds):
             pts_1d.append(0.5 * (b - a) * x + 0.5 * (a + b))
             wts_1d.append(0.5 * (b - a) * w)
-        if self.dim == 1:
-            return pts_1d[0][:, None], wts_1d[0]
-        gx, gy = np.meshgrid(pts_1d[0], pts_1d[1], indexing="ij")
-        wx, wy = np.meshgrid(wts_1d[0], wts_1d[1], indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        return pts, (wx * wy).ravel()
+        return _product_points(pts_1d), reduce(np.multiply.outer, wts_1d).ravel()
 
 
 @dataclass(frozen=True)
@@ -113,11 +106,10 @@ class Disk:
         n_theta = 6 * resolution
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         radii = self.radius * np.arange(1, resolution + 1) / resolution
-        rr, tt = np.meshgrid(radii, theta, indexing="ij")
-        pts = np.stack(
-            [self.center[0] + rr.ravel() * np.cos(tt.ravel()),
-             self.center[1] + rr.ravel() * np.sin(tt.ravel())], axis=-1)
-        return np.vstack([np.array([self.center]), pts])
+        pts = np.empty((1 + resolution * n_theta, 2))
+        pts[0] = self.center
+        _polar_points(self.center, radii, theta, pts[1:])
+        return pts
 
     def quadrature(self, nodes_per_axis):
         # Gauss-Legendre in the radius, uniform (spectrally accurate,
@@ -128,12 +120,28 @@ class Disk:
         n_theta = 6 * nodes_per_axis
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         w_theta = 2.0 * math.pi / n_theta
-        rr, tt = np.meshgrid(r, theta, indexing="ij")
-        pts = np.stack(
-            [self.center[0] + rr.ravel() * np.cos(tt.ravel()),
-             self.center[1] + rr.ravel() * np.sin(tt.ravel())], axis=-1)
-        wts = (wr[:, None] * w_theta * rr).ravel()
-        return pts, wts
+        pts = np.empty((nodes_per_axis * n_theta, 2))
+        _polar_points(self.center, r, theta, pts)
+        return pts, np.repeat(wr * w_theta * r, n_theta)
+
+
+def _product_points(axes):
+    """The tensor grid of the 1-d ``axes`` as one ``(P, d)`` array, the first
+    axis slowest, written in place."""
+    pts = np.empty((math.prod(map(len, axes)), len(axes)))
+    grid = pts.reshape(*map(len, axes), len(axes))
+    for i, axis in enumerate(axes):
+        grid[..., i] = axis.reshape([-1 if j == i else 1 for j in range(len(axes))])
+    return pts
+
+
+def _polar_points(center, radii, theta, out):
+    """Write ``center + r (cos t, sin t)`` for every radius, then angle, into
+    the ``(len(radii) * len(theta), 2)`` array ``out``."""
+    grid = out.reshape(len(radii), len(theta), 2)
+    for axis, trig in enumerate((np.cos, np.sin)):
+        np.multiply(radii[:, None], trig(theta), out=grid[..., axis])
+        grid[..., axis] += center[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,6 @@ class Chart:
     immersion : object with position/jacobian/hessian evaluators
     eta : scalar weight field with value/gradient evaluators
     tensor : symmetric coefficient tensor field
-    label : human readable identifier
     """
 
     dim_n: int
@@ -463,7 +470,6 @@ class Chart:
     immersion: object
     eta: object
     tensor: object
-    label: str = ""
 
     def __post_init__(self):
         if not (1 <= self.dim_n <= 2):
@@ -1013,6 +1019,5 @@ def make_chart(chart_id, params=(), domain=None, eta=None, tensor=None):
     domain = domain if domain is not None else entry.domain(*args)
     eta = eta if eta is not None else ZeroWeight()
     tensor = tensor if tensor is not None else MetricTensor()
-    label = chart_id if not params else f"{chart_id}({', '.join(map(str, params))})"
     return Chart(dim_n=immersion.dim_n, dim_m=immersion.dim_m, domain=domain,
-                 immersion=immersion, eta=eta, tensor=tensor, label=label)
+                 immersion=immersion, eta=eta, tensor=tensor)

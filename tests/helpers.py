@@ -75,7 +75,7 @@ def flat_square_in_r3():
 def reference_assemble(chart, mesh):
     """Dirichlet A and B with every per-point contraction written as
     ``np.einsum``: the oracle that ``assemble`` must match bit for bit."""
-    qpts, qw, grads, phi = _cell_geometry(mesh)
+    qpts, qw, grads, phi = _cell_geometry(mesh, slice(None))
     ncells, nq = qw.shape
     flat = qpts.reshape(-1, mesh.dim)
     jac = chart.immersion.jacobian(flat)
@@ -135,7 +135,7 @@ class QuadratureFields:
     per-eigenfunction oracles integrate against."""
 
     def __init__(self, chart, mesh):
-        qpts, qw, self.grads, phi = _cell_geometry(mesh)
+        qpts, qw, self.grads, phi = _cell_geometry(mesh, slice(None))
         self.ncells, self.nq = qw.shape
         self.cells = mesh.cells
         self.phi = np.asarray(phi)

@@ -1,8 +1,9 @@
 """Record the expected outputs of the shipped scenarios.
 
-Run from the repository root with ``PYTHONPATH=src OMP_NUM_THREADS=1 python
-tests/record_golden.py`` (threaded BLAS moves the last digits of some
-integrals, well inside the comparison's tolerance).  It runs every ``scenarios/*.cfg`` without
+Run from the repository root with ``PYTHONPATH=src python
+tests/record_golden.py``; run so, it pins BLAS to one thread (see
+``BLAS_VARS``; threaded BLAS moves the last digits of some integrals, well
+inside the comparison's tolerance).  It runs every ``scenarios/*.cfg`` without
 writing artifacts and stores its eigenvalues per resolution and every
 report row in ``tests/golden_scenarios.json``, which
 ``test_criterion_4_inequality_suite`` compares fresh runs against.  Each
@@ -20,8 +21,12 @@ import json
 import math
 import os
 
-from helpers import GOLDEN_PATH, golden_close, golden_row_matches, scenario_snapshot
-from spectralab.reporting import load_scenario, run_scenario
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # read when numpy loads BLAS, below; an import leaves them
+    os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
+
+from helpers import GOLDEN_PATH, golden_close, golden_row_matches, scenario_snapshot  # noqa: E402
+from spectralab.reporting import load_scenario, run_scenario  # noqa: E402
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(GOLDEN_PATH)), "scenarios")
 

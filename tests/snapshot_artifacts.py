@@ -1,20 +1,26 @@
 """Write every artifact and every assembled pencil of a fixed set of problems.
 
-Run from the repository root with ``PYTHONPATH=src OMP_NUM_THREADS=1 python
-tests/snapshot_artifacts.py OUT_DIR``.  It runs the nine
-``scenarios/*.cfg``, the first draw of each ``perfbench/problems.py``
-ladder, the many-modes text and two small scenarios for the catalog entries
-those leave out.  Under ``OUT_DIR/<problem>/`` it writes the problem's
+Run from the repository root with ``PYTHONPATH=src python
+tests/snapshot_artifacts.py OUT_DIR``; run so, it pins BLAS to one thread
+(see ``BLAS_VARS``), since the k = 100 eigenvalues move with the thread
+count.  It runs the nine ``scenarios/*.cfg``, the first draw of each
+``perfbench/problems.py`` ladder, the many-modes text and two small
+scenarios for the catalog entries those leave out.  Under ``OUT_DIR/<problem>/`` it writes the problem's
 artifacts, its exit code and messages, and for each mesh level the mesh
 arrays and the A/B ``rows/cols/vals`` as ``.npy`` files; ``OUT_DIR/list.txt``
 holds the ``spectralab list`` text.  ``diff -r`` on the snapshots of two
 commits then shows whether a change is bit-for-bit.
 """
 
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # read when numpy loads BLAS, below; an import leaves them
+    os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))

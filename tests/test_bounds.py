@@ -281,8 +281,9 @@ def test_recursion_constant_in_unit_interval():
 def test_recursion_constant_sequence():
     spec = Spectrum(np.ones(5), 2, "synthetic")
     report = recursion_lemma(spec, 2, 1.0, 2)
-    # constant sequence: hypothesis holds with equality, F_k = 2c/n
-    assert report.inputs["F_k"] == pytest.approx(1.0, rel=1e-15)
+    # constant sequence: hypothesis holds with equality, F_k = 2c/n = 1, so
+    # rhs = C(2, 2, 1) ((k+1)/k)^(4c/n) F_k
+    assert report.rhs == pytest.approx(recursion_constant(2, 2, 1.0) * 1.5 ** 2, rel=1e-15)
     assert not report.skipped and report.holds
 
 
@@ -292,8 +293,8 @@ def test_recursion_square_spectrum_k20():
         report = recursion_lemma(spec, 2, 1.0, k)
         assert not report.skipped
         assert report.holds
-        assert report.inputs["F_k"] > 0
-        assert 0 < report.inputs["C"] < 1
+        assert report.rhs > 0
+        assert 0 < recursion_constant(2, k, 1.0) < 1
 
 
 def test_recursion_hypothesis_failure_is_not_applicable():

@@ -376,8 +376,8 @@ def test_long_expression_runs_or_exits_two_with_one_error_line(text, key):
     # points where the run evaluates it for sure: the weight at the
     # quadrature points of the mesh, the tensor on the constants grid
     domain = make_chart("flat_rectangle").domain
-    points = (_cell_geometry(build_structured(domain, 4))[0].reshape(-1, 2) if key == "eta"
-              else domain.sample_grid(16))
+    points = (_cell_geometry(build_structured(domain, 4), slice(None))[0].reshape(-1, 2)
+              if key == "eta" else domain.sample_grid(16))
     try:
         compile_expression(text, 2)(points)
         finite = True

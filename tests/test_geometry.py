@@ -375,6 +375,55 @@ def test_constants_peak_memory_bounded_by_block_budget():
         assert peak <= count * point_bytes
 
 
+def _meshgrid_grids(domain, resolution):
+    """``domain.sample_grid(resolution)`` and ``domain.quadrature(resolution)``
+    built from ``np.meshgrid`` copies and stacked coordinates: the reference
+    that the domains' in-place grids must match float for float."""
+    if isinstance(domain, Disk):
+        def polar(radii, n_theta):
+            theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+            rr, tt = np.meshgrid(radii, theta, indexing="ij")
+            return rr, np.stack([domain.center[0] + rr.ravel() * np.cos(tt.ravel()),
+                                 domain.center[1] + rr.ravel() * np.sin(tt.ravel())], axis=-1)
+        _, ring = polar(domain.radius * np.arange(1, resolution + 1) / resolution, 6 * resolution)
+        grid = np.vstack([np.array([domain.center]), ring])
+        x, w = np.polynomial.legendre.leggauss(resolution)
+        rr, qpts = polar(0.5 * domain.radius * (x + 1.0), 6 * resolution)
+        qwts = (0.5 * domain.radius * w[:, None] * (2.0 * math.pi / (6 * resolution)) * rr).ravel()
+        return grid, (qpts, qwts)
+    axes = [np.linspace(a, b, resolution + 1) for a, b in domain.bounds]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    x, w = np.polynomial.legendre.leggauss(resolution)
+    pts_1d = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in domain.bounds]
+    wts_1d = [0.5 * (b - a) * w for a, b in domain.bounds]
+    if domain.dim == 1:
+        return grid, (pts_1d[0][:, None], wts_1d[0])
+    gx, gy = np.meshgrid(*pts_1d, indexing="ij")
+    wx, wy = np.meshgrid(*wts_1d, indexing="ij")
+    return grid, (np.stack([gx.ravel(), gy.ravel()], axis=-1), (wx * wy).ravel())
+
+
+@pytest.mark.parametrize("domain", [CHARTS[c].domain(*CHARTS[c].defaults) for c in sorted(CHARTS)]
+                         + [Disk((0.1, -0.2), 1.3)], ids=repr)
+def test_domain_grids_written_in_place(domain):
+    for resolution in (1, 7, 8, 64, 256):
+        grid, (qpts, qwts) = _meshgrid_grids(domain, resolution)
+        assert np.array_equal(domain.sample_grid(resolution), grid)
+        pts, wts = domain.quadrature(resolution)
+        assert pts.shape == qpts.shape and np.array_equal(pts, qpts)
+        assert wts.shape == qwts.shape and np.array_equal(wts, qwts)
+    # no coordinate copies: the peak is the output plus at most 1 MB
+    for build in (domain.sample_grid, domain.quadrature):
+        tracemalloc.start()
+        try:
+            out = build(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        assert peak <= size + (1 << 20)
+
+
 def test_low_resolution_rejected():
     with pytest.raises(ParameterError):
         compute_constants(make_chart("flat_rectangle"), 4)

@@ -1,7 +1,14 @@
 """``tests/record_golden.py`` rewrites only the values and rows that moved."""
 
 import json
+import os
+import runpy
+import sys
+from pathlib import Path
 
+import pytest
+
+import helpers
 from helpers import GOLDEN_REL
 from record_golden import record
 
@@ -59,3 +66,27 @@ def test_rerecord_prints_each_rewritten_row(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "square thm_drift k=1 moved 0.0e+00 holds False -> True",
         "square ppw k=2 moved inf"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("script", ["record_golden.py", "snapshot_artifacts.py"])
+def test_recorders_pin_blas_only_when_run_as_scripts(monkeypatch, tmp_path, script):
+    path = str(Path(__file__).with_name(script))
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "2")
+    runpy.run_path(path)  # imported: the environment is left alone
+    assert [os.environ[var] for var in BLAS_VARS] == ["2"] * 3
+    # run as a script: a usage error, and a recording with no scenarios
+    monkeypatch.setattr(sys, "argv", [path])
+    if script == "snapshot_artifacts.py":
+        with pytest.raises(SystemExit, match="^usage"):
+            runpy.run_path(path, run_name="__main__")
+    else:
+        golden = tmp_path / "tests" / "golden.json"  # no tmp_path/scenarios
+        golden.parent.mkdir()
+        monkeypatch.setattr(helpers, "GOLDEN_PATH", str(golden))
+        runpy.run_path(path, run_name="__main__")
+        assert json.loads(golden.read_text()) == {}
+    assert [os.environ[var] for var in BLAS_VARS] == ["1"] * 3
