@@ -251,7 +251,10 @@ class EigenfunctionQuadrature:
 def _check_point_bytes(chart, k):
     """Bytes per point a block of the check integrals holds at once: the
     fields and immersion terms, the per-cell coefficients, and four values
-    of each of the ``k`` eigenfunctions (one node value, three at points)."""
+    of each of the ``k`` eigenfunctions (one node value, three at points).
+    The terms hold three ``n^3`` arrays (Γ, ``nabla T``, a contraction); four
+    are counted, which keeps the cell blocks, and so the order of the sums
+    over them and the last digits of the integrals, where they were."""
     m, n = chart.dim_m, chart.dim_n
     return 8 * (4 * k + m * n * n + 4 * n ** 3 + 2 * m * n + 6 * n * n + 20)
 
@@ -267,7 +270,8 @@ def _block_integrals(chart, mesh, cells, values):
     ncells, nq = qw.shape
     fields = chart_fields(chart, qpts.reshape(-1, mesh.dim))
     dm = (_dm_weight(chart, fields).reshape(ncells, nq) * qw).ravel()
-    lx, normal, tangential = immersion_operator_terms(chart, fields)
+    lx, normal, tangential = immersion_operator_terms(
+        chart, fields, chart.immersion.hessian(fields.points))
     nodal = values[mesh.cells[cells]]  # (cells, nodes, k)
 
     def at_points(coeffs):  # (cells, q, nodes) coefficients -> (points, k) values

@@ -9,6 +9,9 @@ come back with a leading ``N`` axis.
 The module also computes the global constants (suprema of the weight
 gradient, mean curvature, shape operators, tensor norms and the unweighted
 volume) that enter the eigenvalue bounds in :mod:`spectralab.bounds`.
+Every derivative is in closed form and every field is evaluated pointwise,
+so nested sample grids evaluate their shared points to identical floats and
+the sampled suprema are exactly monotone under refinement.
 """
 
 from __future__ import annotations
@@ -29,15 +32,6 @@ from .errors import (
 from .expressions import compile_expression
 
 DEGENERACY_TOL = 1e-12
-
-# Finite-difference steps used by compute_constants / apply_operator_pointwise.
-# Both are independent of the sampling resolution so that nested sample grids
-# re-evaluate shared points to identical floats (suprema are then exactly
-# monotone under refinement).
-CHRISTOFFEL_STEP_REL = 1.0 / 1024.0
-FLUX_STEP_REL = 4.0e-6
-# step of ExpressionWeight's central differences, relative to 1 + |xi|
-WEIGHT_STEP_REL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +54,6 @@ class Rectangle:
     @property
     def dim(self):
         return len(self.bounds)
-
-    @property
-    def extents(self):
-        return np.array([b - a for a, b in self.bounds])
 
     def sample_grid(self, resolution):
         """Uniform grid with ``resolution + 1`` points per axis, boundary included."""
@@ -96,10 +86,6 @@ class Disk:
     @property
     def dim(self):
         return 2
-
-    @property
-    def extents(self):
-        return np.array([2.0 * self.radius, 2.0 * self.radius])
 
     def sample_grid(self, resolution):
         """Center plus ``resolution`` concentric rings of ``6*resolution`` angles."""
@@ -346,6 +332,9 @@ class ZeroWeight:
         pts = np.atleast_2d(pts)
         return np.zeros_like(pts)
 
+    def hessian(self, pts):
+        return _zero_hessian(pts)
+
 
 class LinearWeight:
     """eta(xi) = coeffs . xi"""
@@ -359,6 +348,9 @@ class LinearWeight:
     def gradient(self, pts):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(self.coeffs, pts.shape).copy()
+
+    def hessian(self, pts):
+        return _zero_hessian(pts)
 
 
 class RadialQuadraticWeight:
@@ -378,26 +370,29 @@ class RadialQuadraticWeight:
         c = np.zeros(pts.shape[1]) if self.center is None else self.center
         return 2.0 * self.coeff * (pts - c)
 
+    def hessian(self, pts):
+        return _zero_hessian(pts) + 2.0 * self.coeff * np.eye(np.atleast_2d(pts).shape[1])
+
+
+def _zero_hessian(pts):
+    pts = np.atleast_2d(pts)
+    return np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
+
 
 class ExpressionWeight:
-    """User expression string; gradient by central differences."""
+    """User expression string; exact derivatives by forward mode."""
 
     def __init__(self, text, dim):
         self.fn = compile_expression(text, dim)
-        self.dim = dim
 
     def value(self, pts):
         return self.fn(pts)
 
     def gradient(self, pts):
-        pts = np.atleast_2d(pts)
-        grad = np.empty_like(pts)
-        for axis in range(self.dim):
-            h = WEIGHT_STEP_REL * (1.0 + np.abs(pts[:, axis]))
-            shift = np.zeros_like(pts)
-            shift[:, axis] = h
-            grad[:, axis] = (self.fn(pts + shift) - self.fn(pts - shift)) / (2.0 * h)
-        return grad
+        return self.fn.derivatives(pts, 1)[1]
+
+    def hessian(self, pts):
+        return self.fn.derivatives(pts, 2)[2]
 
 
 class MetricTensor:
@@ -421,6 +416,10 @@ class DiagonalTensor:
         n = np.atleast_2d(pts).shape[0]
         return np.broadcast_to(np.diag(self.diag), (n, len(self.diag), len(self.diag))).copy()
 
+    def gradient(self, pts):
+        """``d_i T_jk`` at ``[:, i, j, k]``: zero."""
+        return np.zeros((np.atleast_2d(pts).shape[0],) + (len(self.diag),) * 3)
+
 
 class ExpressionTensor:
     """Symmetric tensor with expression-string entries (upper triangle)."""
@@ -435,15 +434,21 @@ class ExpressionTensor:
                 f"need {expected} upper-triangle entries for a {dim}d tensor")
         self.dim = dim
         self.fns = [compile_expression(text, dim) for text in entries]
+        self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
 
     def value(self, pts, metric):
         pts = np.atleast_2d(pts)
         out = np.empty((pts.shape[0], self.dim, self.dim))
-        idx = 0
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                out[:, i, j] = out[:, j, i] = self.fns[idx](pts)
-                idx += 1
+        for fn, (i, j) in zip(self.fns, self.pairs):
+            out[:, i, j] = out[:, j, i] = fn(pts)
+        return out
+
+    def gradient(self, pts):
+        """``d_i T_jk`` at ``[:, i, j, k]``, exact."""
+        pts = np.atleast_2d(pts)
+        out = np.empty((pts.shape[0],) + (self.dim,) * 3)
+        for fn, (i, j) in zip(self.fns, self.pairs):
+            out[:, :, i, j] = out[:, :, j, i] = fn.derivatives(pts, 1)[1]
         return out
 
 
@@ -460,7 +465,7 @@ class Chart:
     dim_n, dim_m : intrinsic and ambient dimensions
     domain : Rectangle or Disk in chart coordinates
     immersion : object with position/jacobian/hessian evaluators
-    eta : scalar weight field with value/gradient evaluators
+    eta : scalar weight field with value/gradient/hessian evaluators
     tensor : symmetric coefficient tensor field
     """
 
@@ -592,9 +597,10 @@ def not_spd(fields):
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
-def second_fundamental_form(chart, fields):
+def second_fundamental_form(chart, fields, hess):
     """Normal frame, second-fundamental-form components and mean curvature
-    at the points of the :func:`chart_fields` record ``fields``.
+    at the points of the :func:`chart_fields` record ``fields``, whose
+    immersion Hessian ``(N, m, n, n)`` is ``hess``.
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
@@ -628,7 +634,6 @@ def second_fundamental_form(chart, fields):
     if np.any(count < codim):
         raise DegeneracyError("could not complete an orthonormal normal frame")
 
-    hess = chart.immersion.hessian(fields.points)
     alpha = contract("pka,paij->pkij", frames, hess)
     trace = contract("pij,pkij->pk", fields.ginv, alpha)
     mean_curv = contract("pk,pka->pa", trace, frames) / n
@@ -638,7 +643,7 @@ def second_fundamental_form(chart, fields):
 def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
     fields = chart_fields(chart, points)
-    _, alpha, _ = second_fundamental_form(chart, fields)
+    _, alpha, _ = second_fundamental_form(chart, fields, chart.immersion.hessian(fields.points))
     return _shape_norms(fields, alpha)
 
 
@@ -656,47 +661,11 @@ def second_form_hs_norm(chart, points):
     return np.sqrt((norms ** 2).sum(axis=1))
 
 
-def _step(chart, rel):
-    """Finite-difference step: ``rel`` times the largest domain extent."""
-    return rel * float(chart.domain.extents.max())
-
-
-def apply_operator_pointwise(chart, field, points, identity_tensor=False):
-    """Divergence-form operator applied to a scalar field, pointwise.
-
-    Computes ``(1/sqrt(det g)) d_i(sqrt(det g) K^ij d_j h) - K^ij d_i eta d_j h``
-    with ``K = g^-1 T g^-1``; the outer derivative is a central difference
-    with step ``FLUX_STEP_REL * max(domain extent)``.  With
-    ``identity_tensor`` the coefficient tensor is replaced by the metric
-    (drifting-Laplacian case).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    step = _step(chart, FLUX_STEP_REL)
-
-    def conductivity(pts):
-        """sqrt(det g) and K at pts."""
-        if identity_tensor:  # T is never evaluated, not even at the shifted points
-            g = _gram(chart.immersion.jacobian(pts))
-            return np.sqrt(det_small(g)), _inv_spd(g)
-        fields = chart_fields(chart, pts)
-        return np.sqrt(det_small(fields.g)), fields.k
-
-    def flux(pts):
-        sqrt_g, k = conductivity(pts)
-        return sqrt_g[:, None] * contract("pij,pj->pi", k, field.gradient(pts))
-
-    div = np.zeros(points.shape[0])
-    for axis in range(chart.dim_n):
-        shift = np.zeros_like(points)
-        shift[:, axis] = step
-        div += (flux(points + shift)[:, axis] - flux(points - shift)[:, axis]) / (2.0 * step)
-
-    sqrt_g, k = conductivity(points)
-    drift = contract("pij,pi,pj->p", k, chart.eta.gradient(points), field.gradient(points))
-    values = div / sqrt_g - drift
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("operator application produced non-finite values")
-    return values
+def christoffel(fields, hess):
+    """Christoffel symbols ``Γ^k_ij`` at ``[:, k, i, j]`` by the Gauss formula
+    ``Γ^k_ij = g^kl <d_i d_j x, d_l x>``, from the :func:`chart_fields`
+    record ``fields`` and the immersion Hessian ``hess`` at its points."""
+    return contract("pak,paij->pkij", contract("pia,pab->pib", fields.jac, fields.ginv), hess)
 
 
 # ---------------------------------------------------------------------------
@@ -730,54 +699,41 @@ class GeometricConstants:
         return asdict(self)
 
 
-def trace_grad_tensor(chart, fields):
+def trace_grad_tensor(chart, fields, hess):
     """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm at the
-    points of the :func:`chart_fields` record ``fields``.
+    points of the :func:`chart_fields` record ``fields``, whose immersion
+    Hessian is ``hess``.
 
     Both results are zero for the metric tensor (metric compatibility).
-    Otherwise the derivatives of g (for the Christoffel symbols) and of T
-    are central differences with step ``CHRISTOFFEL_STEP_REL * max(domain
-    extent)``; the shifted points evaluate only g and T.
+    Otherwise the derivatives of T come from the tensor's ``gradient`` and
+    the Christoffel symbols from :func:`christoffel`.
     """
     points, g, ginv, t = fields.points, fields.g, fields.ginv, fields.t
     if chart.tensor.is_metric:
         return np.zeros_like(points), np.zeros(points.shape[0])
-    n = chart.dim_n
-    step = _step(chart, CHRISTOFFEL_STEP_REL)
-    dg = np.empty((points.shape[0], n, n, n))  # dg[:, i, j, k] = d_i g_jk
-    dt = np.empty_like(dg)                     # dt[:, i, j, k] = d_i T_jk
-    for axis in range(n):
-        shift = np.zeros_like(points)
-        shift[:, axis] = step
-        gp = _gram(chart.immersion.jacobian(points + shift))
-        gm = _gram(chart.immersion.jacobian(points - shift))
-        dg[:, axis] = (gp - gm) / (2.0 * step)
-        dt[:, axis] = (chart.tensor.value(points + shift, gp)
-                       - chart.tensor.value(points - shift, gm)) / (2.0 * step)
-    gamma = 0.5 * (contract("pkl,pijl->pkij", ginv, dg)
-                   + contract("pkl,pjil->pkij", ginv, dg)
-                   - contract("pkl,plij->pkij", ginv, dg))
-    # nabla_t[:, i, j, k] = (nabla_i T)_{jk}
-    nabla_t = (dt
-               - contract("plij,plk->pijk", gamma, t)
-               - contract("plik,pjl->pijk", gamma, t))
+    gamma = christoffel(fields, hess)
+    # nabla_t[:, i, j, k] = (nabla_i T)_{jk} = d_i T_jk - Γ^l_ij T_lk - Γ^l_ik T_jl
+    nabla_t = chart.tensor.gradient(points)
+    nabla_t -= contract("plij,plk->pijk", gamma, t)
+    nabla_t -= contract("plik,pjl->pijk", gamma, t)
     trace_vec = contract("pij,pijk,pkb->pb", ginv, nabla_t, ginv)
     norm = np.sqrt(np.maximum(contract("pab,pa,pb->p", g, trace_vec, trace_vec), 0.0))
     return trace_vec, norm
 
 
-def immersion_operator_terms(chart, fields):
+def immersion_operator_terms(chart, fields, hess):
     """``L x = tr(alpha o T) + dx(tr nabla T - T nabla eta)``, the operator
     applied to the immersion (Cheng & Yang, Math. Ann. 337, 2007; Chen &
     Cheng, J. Math. Soc. Japan 60, 2008), and its terms.
 
-    ``fields`` is the :func:`chart_fields` record at the points.  Returns
+    ``fields`` is the :func:`chart_fields` record at the points and ``hess``
+    the immersion Hessian there.  Returns
     ``(lx, normal, tangential)``: ``L x^a`` ``(N, m)``, ``K^ij alpha^k_ij``
     per normal ``(N, m-n)`` and the chart vector ``V = tr(nabla T) - K d eta``
     ``(N, n)``, so that ``L x = frames^T normal + dx(V)``.
     """
-    frames, alpha, _ = second_fundamental_form(chart, fields)
-    trace_grad, _ = trace_grad_tensor(chart, fields)
+    frames, alpha, _ = second_fundamental_form(chart, fields, hess)
+    trace_grad, _ = trace_grad_tensor(chart, fields, hess)
     tangential = trace_grad - contract("pij,pj->pi", fields.k, chart.eta.gradient(fields.points))
     normal = contract("pij,pkij->pk", fields.k, alpha)
     lx = (contract("pk,pka->pa", normal, frames)
@@ -848,22 +804,22 @@ def compute_constants(chart, resolution):
         dim_n=chart.dim_n,
         dim_m=chart.dim_m,
         sample_resolution=resolution,
-        metadata={
-            "christoffel_step": _step(chart, CHRISTOFFEL_STEP_REL),
-            "flux_step": _step(chart, FLUX_STEP_REL),
-            "quadrature_nodes": qnodes,
-        },
+        metadata={"quadrature_nodes": qnodes},
     )
 
 
 def _constants_point_bytes(chart):
     """Bytes per sample point a block of :func:`compute_constants` holds at
-    once: the Jacobian, g, g^-1, T and K, the larger of the second fundamental
-    form's temporaries (two normal projections, the Hessian, J g^-1 and the
-    second-form products) and the six ``n^3`` arrays of ``tr(nabla T)``'s
-    differences, and 16 scalars."""
+    once: the Jacobian, g, g^-1, T and K, the immersion Hessian and the
+    Christoffel symbols, the largest of the second fundamental form's
+    temporaries (two normal projections, J g^-1 and the second-form
+    products), the two ``n^3`` arrays of ``tr(nabla T)`` and the forward
+    mode of an expression weight's Hessian (the parts of one node and its two
+    operands, two outer products), and 16 scalars."""
     m, n = chart.dim_m, chart.dim_n
-    return 8 * (m * n + 4 * n * n + max(2 * m * m + 2 * m * n * n + m * n, 6 * n ** 3) + 16)
+    forward = 3 * (1 + n + n * n) + 2 * n * n
+    return 8 * (m * n + 4 * n * n + m * n * n + n ** 3
+                + max(2 * m * m + m * n * n + m * n, 2 * n ** 3, forward) + 16)
 
 
 def _block_extremes(chart, pts):
@@ -874,15 +830,22 @@ def _block_extremes(chart, pts):
     if not (np.all(np.isfinite(fields.g)) and np.all(np.isfinite(fields.t))):
         raise EvaluationError("non-finite metric or tensor values on the sample grid")
     bad = not_spd(fields)
+    hess = chart.immersion.hessian(pts)
 
     deta = chart.eta.gradient(pts)
-    eta0 = np.sqrt(np.maximum(contract("pij,pi,pj->p", fields.ginv, deta, deta), 0.0)).max()
-    del deta
-    # drifting Laplacian of eta (coefficient tensor = metric)
-    eta_bar0 = apply_operator_pointwise(chart, chart.eta, pts, identity_tensor=True).max()
+    grad_sq = contract("pij,pi,pj->p", fields.ginv, deta, deta)
+    eta0 = np.sqrt(np.maximum(grad_sq, 0.0)).max()
+    # drifting Laplacian of eta: g^ij (d_ij eta - Γ^k_ij d_k eta) - |grad eta|^2
+    gamma_trace = contract("pij,pkij->pk", fields.ginv, christoffel(fields, hess))
+    laplacian = (contract("pij,pji->p", fields.ginv, chart.eta.hessian(pts))
+                 - contract("pi,pi->p", gamma_trace, deta))
+    eta_bar0 = (laplacian - grad_sq).max()
+    if not np.isfinite(eta_bar0):
+        raise EvaluationError("non-finite drifting Laplacian of the weight on the sample grid")
+    del deta, grad_sq, gamma_trace, laplacian
 
     if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, fields)
+        _, alpha, mean_curv = second_fundamental_form(chart, fields, hess)
         h0 = np.linalg.norm(mean_curv, axis=1).max()
         a0 = _shape_norms(fields, alpha).max()
         del alpha, mean_curv
@@ -893,7 +856,7 @@ def _block_extremes(chart, pts):
     t_star = np.sqrt(np.maximum(contract("pij,pji->p", ginv_t, ginv_t), 0.0)).max()
     del ginv_t
     tr_t = contract("pij,pji->p", fields.ginv, fields.t)
-    t0 = trace_grad_tensor(chart, fields)[1].max()
+    t0 = trace_grad_tensor(chart, fields, hess)[1].max()
     return dict(eta0=eta0, eta_bar0=eta_bar0, h0=h0, a0=a0, t_star=t_star, t0=t0,
                 tr_t_inf=tr_t.min(), tr_t_sup=tr_t.max()), bad
 

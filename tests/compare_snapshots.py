@@ -8,11 +8,15 @@ difference of each ``bounds.csv``, then that of each check family in it (the
 row name up to ``(``) whose numbers differ at all, and every file that
 differs or exists on one side only.  For a differing ``eigenvalues.csv`` it
 adds whether the ``resolution,k,lambda`` columns are identical and the
-largest ``residual`` on each side.  It exits 1 on any mismatch (any byte
-difference outside ``bounds.csv``), 0 otherwise.
+largest ``residual`` on each side; for a differing ``constants.json``, the
+keys on one side only and the relative move of each constant that moved,
+and at the end the largest move of each constant over all such files.  It
+exits 1 on any mismatch (any byte difference outside ``bounds.csv``), 0
+otherwise.
 """
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -82,6 +86,41 @@ def explain_eigenvalues(text_a, text_b):
             f"largest residual {worst_a:.3g} against {worst_b:.3g}")
 
 
+def _flat_keys(data, prefix=""):
+    """The leaves of nested JSON objects by dotted key."""
+    leaves = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            leaves.update(_flat_keys(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def explain_constants(text_a, text_b, moves=None):
+    """Why two ``constants.json`` texts differ: the keys on one side only and
+    the relative move of each constant that moved.  Each move also raises
+    ``moves[key]`` to at least its size."""
+    try:
+        side_a, side_b = (_flat_keys(json.loads(text)) for text in (text_a, text_b))
+    except (ValueError, AttributeError):
+        return "not a JSON object"
+    parts = [f"{key} only in {'A' if key in side_a else 'B'}"
+             for key in sorted(side_a.keys() ^ side_b.keys())]
+    for key in sorted(side_a.keys() & side_b.keys()):
+        a, b = side_a[key], side_b[key]
+        if a == b:
+            continue
+        try:
+            diff = _relative(a, b)
+        except (TypeError, ValueError):
+            diff = math.inf
+        parts.append(f"{key} moved {diff:.3g}")
+        if moves is not None:
+            moves[key] = max(moves.get(key, 0.0), diff)
+    return "; ".join(parts) or "same keys and values"
+
+
 def compare(dir_a, dir_b, rtol):
     """Print the comparison of two snapshot directories; return the exit code."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
@@ -91,7 +130,7 @@ def compare(dir_a, dir_b, rtol):
     for rel in sorted(files_a ^ files_b):
         print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
         mismatches += 1
-    identical = 0
+    identical, moves = 0, {}
     for rel in sorted(files_a & files_b):
         bytes_a, bytes_b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
         if rel.name == "bounds.csv":
@@ -106,10 +145,14 @@ def compare(dir_a, dir_b, rtol):
         elif bytes_a == bytes_b:
             identical += 1
         else:
-            why = (f": {explain_eigenvalues(bytes_a.decode(), bytes_b.decode())}"
-                   if rel.name == "eigenvalues.csv" else "")
+            explain = {"eigenvalues.csv": explain_eigenvalues,
+                       "constants.json": lambda a, b: explain_constants(a, b, moves)}.get(rel.name)
+            why = f": {explain(bytes_a.decode(), bytes_b.decode())}" if explain else ""
             print(f"{rel}: bytes differ{why}")
             mismatches += 1
+    if moves:
+        print("largest constants.json moves: "
+              + ", ".join(f"{key} {diff:.3g}" for key, diff in sorted(moves.items())))
     print(f"{len(files_a | files_b)} files: {identical} other files byte-identical, "
           f"{mismatches} mismatched")
     return 1 if mismatches else 0

@@ -16,16 +16,53 @@ from spectralab.eigensolve import solve_sparse, vertex_fields
 from spectralab.geometry import (
     CallableImmersion,
     Chart,
+    Disk,
     PointFields,
     Rectangle,
     _inv_spd,
     chart_fields,
+    contract,
+    det_small,
     immersion_operator_terms,
     make_chart,
     make_eta,
     make_tensor,
 )
 from spectralab.meshing import build_structured
+
+
+# step of apply_operator_pointwise's central differences, relative to the
+# largest extent of the domain
+FLUX_STEP_REL = 4.0e-6
+
+
+def apply_operator_pointwise(chart, field, points):
+    """Divergence-form operator applied to a scalar field, pointwise: the
+    finite-difference oracle for the closed forms of ``spectralab.geometry``.
+
+    Computes ``(1/sqrt(det g)) d_i(sqrt(det g) K^ij d_j h) - K^ij d_i eta d_j h``
+    with ``K = g^-1 T g^-1``; the outer derivative is a central difference
+    with step ``FLUX_STEP_REL`` times the largest extent of the domain.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    domain = chart.domain
+    extent = (2.0 * domain.radius if isinstance(domain, Disk)
+              else max(b - a for a, b in domain.bounds))
+    step = FLUX_STEP_REL * extent
+
+    def flux(pts):
+        fields = chart_fields(chart, pts)
+        return np.sqrt(det_small(fields.g))[:, None] * contract("pij,pj->pi", fields.k,
+                                                                field.gradient(pts))
+
+    div = np.zeros(points.shape[0])
+    for axis in range(chart.dim_n):
+        shift = np.zeros_like(points)
+        shift[:, axis] = step
+        div += (flux(points + shift)[:, axis] - flux(points - shift)[:, axis]) / (2.0 * step)
+    fields = chart_fields(chart, points)
+    drift = contract("pij,pi,pj->p", fields.k, chart.eta.gradient(points), field.gradient(points))
+    return div / np.sqrt(det_small(fields.g)) - drift
 
 
 class AmbientCoordinate:
@@ -165,7 +202,8 @@ def reference_proposition_integrals(quad, axis, k_top):
     fields = quad_fields.fields
     grad_h = AmbientCoordinate(quad.chart, axis).gradient(fields.points)
     t_hh = np.einsum("pij,pi,pj->p", fields.k, grad_h, grad_h)
-    lh_q = immersion_operator_terms(quad.chart, fields)[0][:, axis]
+    lh_q = immersion_operator_terms(quad.chart, fields,
+                                    quad.chart.immersion.hessian(fields.points))[0][:, axis]
     weights = np.empty(k_top)
     rayleigh = np.empty(k_top)
     for i in range(k_top):
@@ -184,7 +222,8 @@ def reference_tensor_integrals(quad, k):
     fields = quad_fields.fields
     g, k_field = fields.g, fields.k
     tr_t = np.einsum("pij,pji->p", fields.ginv, fields.t)
-    _, normal, tangential = immersion_operator_terms(quad.chart, fields)
+    _, normal, tangential = immersion_operator_terms(quad.chart, fields,
+                                                     quad.chart.immersion.hessian(fields.points))
     square_field = (normal ** 2).sum(axis=1) + np.einsum("pab,pa,pb->p", g, tangential,
                                                          tangential)
     rows = []

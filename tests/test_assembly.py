@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     AmbientCoordinate,
+    apply_operator_pointwise,
     diag_tensor,
     dump,
     from_entries,
@@ -21,7 +22,6 @@ from spectralab.geometry import (
     CHARTS,
     LinearWeight,
     ZeroWeight,
-    apply_operator_pointwise,
     chart_fields,
     immersion_operator_terms,
     make_chart,
@@ -300,7 +300,8 @@ def test_apply_Lh_sphere_coordinate():
 def _vertex_lx(chart, resolution=6):
     """The mesh and the closed-form ``L x`` at its vertices, ``(m, V)``."""
     mesh = build_structured(chart.domain, resolution)
-    return mesh, immersion_operator_terms(chart, chart_fields(chart, mesh.vertices))[0].T
+    fields = chart_fields(chart, mesh.vertices)
+    return mesh, immersion_operator_terms(chart, fields, chart.immersion.hessian(mesh.vertices))[0].T
 
 
 @pytest.mark.parametrize("chart_id,params,expected", [
@@ -346,7 +347,5 @@ def test_closed_form_lx_matches_finite_difference_operator(chart_id, tensor_kind
         oracle = np.stack([apply_operator_pointwise(chart, AmbientCoordinate(chart, a),
                                                     mesh.vertices)
                            for a in range(chart.dim_m)])
-        # the metric tensor is exact in closed form; otherwise the covariant
-        # derivative of T carries trace_grad_tensor's step-1/1024 differences
-        rel = 1e-9 if tensor_kind == "metric" else 1e-5
-        assert np.abs(lx - oracle).max() <= rel * (1.0 + np.abs(oracle).max()), eta_kind
+        # every term is in closed form, so the oracle's differences set the error
+        assert np.abs(lx - oracle).max() <= 1e-9 * (1.0 + np.abs(oracle).max()), eta_kind

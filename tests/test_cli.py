@@ -173,6 +173,19 @@ def test_overflowing_weight_exits_two_with_one_line(tmp_path, capsys, monkeypatc
     assert err == ["EvaluationError: weight exp(-eta) overflows at a quadrature point"]
 
 
+def test_weight_without_a_derivative_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # sqrt(x) has no derivative at x = 0, on the constants grid: an error,
+    # not numpy warnings
+    text = SMALL_CONFIG.replace("eta.kind = zero", "eta.kind = expr\neta.expr = sqrt(x)")
+    monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", _write(tmp_path, "smoke.cfg", text)]) == 2
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["EvaluationError: expression 'sqrt(x)' produced non-finite first derivatives"]
+
+
 def test_verify_writes_nothing(tmp_path, capsys):
     cfg = _write(tmp_path, "smoke.cfg", SMALL_CONFIG)
     workdir = tmp_path / "verify_out"

@@ -77,3 +77,27 @@ def test_eigenvalue_differences_are_explained(tmp_path, capsys):
     short = EIGENVALUES.replace("8,2,49.3,8.1e-13", "8,2,49.3")
     assert compare_snapshots.main([a, _snapshot(tmp_path / "e", eigenvalues=short)]) == 1
     assert "bytes differ: a row does not parse" in capsys.readouterr().out
+
+
+CONSTANTS = ('{\n  "eta_bar0": 0.6400000000143309,\n  "h0": 1.0,\n  "metadata": {\n'
+             '    "flux_step": 8e-06,\n    "quadrature_nodes": 64\n  },\n  "t0": 0.0\n}\n')
+
+
+def test_constants_differences_are_explained(tmp_path, capsys):
+    def snapshot(label, constants):
+        root = tmp_path / label
+        _snapshot(root)
+        (root / "square" / "constants.json").write_text(constants)
+        return str(root)
+
+    a = snapshot("a", CONSTANTS)
+    assert compare_snapshots.main([a, snapshot("same", CONSTANTS)]) == 0
+    moved = (CONSTANTS.replace("0.6400000000143309", "0.6400000000000001")
+             .replace('    "flux_step": 8e-06,\n', "").replace('"t0": 0.0', '"t0": 0.0,\n  "x": 1'))
+    assert compare_snapshots.main([a, snapshot("b", moved)]) == 1  # still a mismatch
+    out = capsys.readouterr().out
+    assert ("square/constants.json: bytes differ: metadata.flux_step only in A; x only in B; "
+            "eta_bar0 moved 2.24e-11\n") in out
+    assert "largest constants.json moves: eta_bar0 2.24e-11\n" in out
+    assert compare_snapshots.main([a, snapshot("c", "[]\n")]) == 1
+    assert "bytes differ: not a JSON object" in capsys.readouterr().out

@@ -84,9 +84,14 @@ def test_degenerate_immersion_detected():
             evaluate()
 
 
+def _second_form(chart, pts):
+    """``second_fundamental_form`` at ``pts``, with its fields and Hessian."""
+    return second_fundamental_form(chart, chart_fields(chart, pts), chart.immersion.hessian(pts))
+
+
 def test_flat_chart_has_no_curvature():
     chart = make_chart("flat_rectangle")
-    frames, alpha, mean_curv = second_fundamental_form(chart, chart_fields(chart, [[0.3, 0.3]]))
+    frames, alpha, mean_curv = _second_form(chart, [[0.3, 0.3]])
     assert frames.shape == (1, 0, 2)
     assert np.all(alpha == 0) and np.all(mean_curv == 0)
 
@@ -94,7 +99,7 @@ def test_flat_chart_has_no_curvature():
 def test_sphere_mean_curvature_is_unit():
     chart = make_chart("stereographic_sphere", (1.0,))
     pts = RNG.uniform(-0.8, 0.8, (10, 2))
-    _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
+    _, _, mean_curv = _second_form(chart, pts)
     assert np.allclose(np.linalg.norm(mean_curv, axis=1), 1.0, atol=1e-12)
     assert np.allclose(shape_operator_norms(chart, pts), math.sqrt(2), atol=1e-12)
 
@@ -103,7 +108,7 @@ def test_associate_family_members_are_minimal():
     pts = RNG.uniform([0.1, -0.7], [3.0, 0.7], (25, 2))
     for theta in (0.0, math.pi / 4, math.pi / 2):
         chart = make_chart("associate_family", (theta,))
-        _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
+        _, _, mean_curv = _second_form(chart, pts)
         assert np.linalg.norm(mean_curv, axis=1).max() <= 1e-8
 
 
@@ -147,7 +152,7 @@ def test_clifford_torus_in_r4_frame_and_curvatures():
                   make_eta("zero"), make_tensor("metric"))
     pts = np.random.default_rng(11).uniform(0, 2 * math.pi, (500, 2))
     fields = chart_fields(chart, pts)
-    frames, _, mean_curv = second_fundamental_form(chart, fields)
+    frames, _, mean_curv = second_fundamental_form(chart, fields, chart.immersion.hessian(pts))
     assert frames.shape == (500, 2, 4)
     assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
     assert np.abs(frames @ fields.jac).max() <= 1e-12
@@ -166,7 +171,7 @@ def test_circle_in_r3_has_a_two_normal_frame():
                   make_eta("zero"), make_tensor("metric"))
     pts = np.random.default_rng(12).uniform(0, 2 * math.pi, (500, 1))
     fields = chart_fields(chart, pts)
-    frames, _, mean_curv = second_fundamental_form(chart, fields)
+    frames, _, mean_curv = second_fundamental_form(chart, fields, chart.immersion.hessian(pts))
     assert frames.shape == (500, 2, 3)
     assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
     assert np.abs(frames @ fields.jac).max() <= 1e-12
@@ -179,14 +184,14 @@ def test_tiny_sphere_mean_curvature_scales():
     radius = 1e-13
     chart = make_chart("stereographic_sphere", (radius,))
     pts = RNG.uniform(-0.8, 0.8, (10, 2))
-    _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
+    _, _, mean_curv = _second_form(chart, pts)
     assert np.allclose(np.linalg.norm(mean_curv, axis=1) * radius, 1.0, atol=1e-12)
 
 
 def test_cylinder_curvatures():
     chart = make_chart("cylinder", (0.5,))
     pts = RNG.uniform([0.1, 0.1], [1.4, 0.9], (10, 2))
-    _, _, mean_curv = second_fundamental_form(chart, chart_fields(chart, pts))
+    _, _, mean_curv = _second_form(chart, pts)
     assert np.allclose(np.linalg.norm(mean_curv, axis=1), 1.0, atol=1e-12)  # 1/(2r)
     assert np.allclose(shape_operator_norms(chart, pts), 2.0, atol=1e-12)   # 1/r
 
@@ -225,12 +230,51 @@ def test_hemisphere_constants():
 
 def test_hemisphere_weighted_constants_closed_form():
     # eta = c|xi|^2 on the stereographic chart: |grad eta| = 2c|xi|/(conformal)
-    # peaks at 0.4 on the rim; L eta = (1+s)^2 (c - c^2 s) peaks at 0.64
-    chart = make_chart("stereographic_sphere", (1.0,),
-                       eta=make_eta("radial_quadratic", (0.2,)))
-    consts = compute_constants(chart, 32)
-    assert consts.eta0 == pytest.approx(0.4, abs=1e-10)
-    assert consts.eta_bar0 == pytest.approx(0.64, abs=1e-8)
+    # peaks at 2c on the rim; L eta = (1+s)^2 (c - c^2 s) peaks there too, at
+    # 4c(1 - c) for c <= 1/2
+    for c in (0.1, 0.2, 0.3, 0.4, 0.5):
+        chart = make_chart("stereographic_sphere", (1.0,),
+                           eta=make_eta("radial_quadratic", (c,)))
+        consts = compute_constants(chart, 32)
+        assert consts.eta0 == pytest.approx(2 * c, abs=1e-10)
+        assert consts.eta_bar0 == pytest.approx(4 * c * (1 - c), rel=1e-13)
+
+
+@pytest.mark.parametrize("diag", [(0.5, 1.0), (2.0, 0.3)])
+def test_hemisphere_diagonal_tensor_t0_closed_form(diag):
+    # |tr nabla T| = (a + b) sqrt(s) (1 + s)^2 / 4 for T = diag(a, b) on the
+    # stereographic chart, largest on the equator s = 1
+    chart = make_chart("stereographic_sphere", (1.0,), tensor=make_tensor("diag", diag))
+    assert compute_constants(chart, 32).t0 == pytest.approx(sum(diag), rel=1e-13)
+
+
+def test_linear_weight_drifting_laplacian_on_flat_charts():
+    # Delta eta - |grad eta|^2 = -|c|^2 for eta = c . xi
+    for chart_id, coeffs in (("flat_interval", (2.0,)), ("flat_rectangle", (0.4, -0.2))):
+        chart = make_chart(chart_id, eta=make_eta("linear", coeffs, dim=len(coeffs)))
+        grad = np.array(coeffs)
+        assert compute_constants(chart, 16).eta_bar0 == -(grad @ grad)
+
+
+def test_constants_block_evaluates_each_derivative_once(monkeypatch):
+    # one Jacobian (in chart_fields), one immersion Hessian, one weight
+    # gradient and one weight Hessian per block of sample points
+    chart = make_chart("flat_rectangle", eta=make_eta("expr", expr="sin(3*x)*cosh(y)", dim=2))
+    calls = {}
+
+    def count(owner, name, key):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(chart.immersion, "jacobian", "jacobian")
+    count(chart.immersion, "hessian", "hessian")
+    count(chart.eta, "gradient", "eta gradient")
+    count(chart.eta, "hessian", "eta hessian")
+    geometry._block_extremes(chart, chart.domain.sample_grid(8))
+    assert calls == dict.fromkeys(["jacobian", "hessian", "eta gradient", "eta hessian"], 1)
 
 
 def test_constants_refinement_monotone():
@@ -452,12 +496,15 @@ def test_expression_weight_gradient_matches_compiled_value():
     field = ExpressionWeight("sin(2*x)*y", 2)
     fn = compile_expression("sin(2*x)*y", 2)
     pts = RNG.uniform(0.1, 0.9, (8, 2))
+    x, y = pts[:, 0], pts[:, 1]
     grad = field.gradient(pts)
-    expected_x = 2 * np.cos(2 * pts[:, 0]) * pts[:, 1]
-    expected_y = np.sin(2 * pts[:, 0])
-    assert np.allclose(grad[:, 0], expected_x, atol=1e-7)
-    assert np.allclose(grad[:, 1], expected_y, atol=1e-7)
-    assert np.allclose(field.value(pts), fn(pts))
+    assert np.allclose(grad[:, 0], 2 * np.cos(2 * x) * y, rtol=0, atol=1e-15)
+    assert np.allclose(grad[:, 1], np.sin(2 * x), rtol=0, atol=1e-15)
+    hess = field.hessian(pts)
+    expected = np.stack([np.stack([-4 * np.sin(2 * x) * y, 2 * np.cos(2 * x)], axis=-1),
+                         np.stack([2 * np.cos(2 * x), 0 * x], axis=-1)], axis=1)
+    assert np.allclose(hess, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(field.value(pts), fn(pts))
 
 
 def test_chart_table_dimension_matches_immersion():
@@ -481,13 +528,14 @@ def test_wrong_parameter_count_rejected(build):
         build()
 
 
-# every spec passed to contract in src/, with the kind of each label after
-# the batch label: n intrinsic, m ambient, c codimension m - n, q quadrature
-# points and v nodes per cell (n + 1 each)
+# every spec passed to contract in src/, and four it passed before, with the
+# kind of each label after the batch label: n intrinsic, m ambient, c
+# codimension m - n, q quadrature points and v nodes per cell (n + 1 each)
 CONTRACT_SPECS = {
     "pai,paj->pij": "mnn",
     "pia,pab,pbj->pij": "nnnn",
     "pka,paij->pkij": "cmnn",
+    "pak,paij->pkij": "mnnn",
     "pk,pka->pa": "cm",
     "pia,pjb,pkij,pkab->pk": "nnnnc",
     "pij,pj->pi": "nn",

@@ -92,7 +92,8 @@ def test_constants_json_provenance(tmp_path):
     data = json.loads((tmp_path / "constants.json").read_text())
     assert data["h0"] == pytest.approx(1.0, abs=1e-6)
     assert data["sample_resolution"] == 64
-    assert "christoffel_step" in data["metadata"]
+    assert data["metadata"]["quadrature_nodes"] == 64
+    assert not [key for key in data["metadata"] if key.endswith("_step")]
 
 
 def test_scenario_validation():
