@@ -22,7 +22,7 @@ from .geometry import (
 )
 from .meshing import Mesh, build_structured
 from .assembly import SparseSymMatrix, assemble, EigenfunctionQuadrature
-from .eigensolve import SpectralResult, solve_dense, solve_sparse, vertex_fields
+from .eigensolve import SpectralResult, solve_sparse, vertex_fields
 from .bounds import (
     BoundReport,
     Spectrum,
@@ -51,7 +51,7 @@ __all__ = [
     "omega_n", "second_fundamental_form",
     "Mesh", "build_structured",
     "SparseSymMatrix", "assemble", "EigenfunctionQuadrature",
-    "SpectralResult", "solve_dense", "solve_sparse", "vertex_fields",
+    "SpectralResult", "solve_sparse", "vertex_fields",
     "BoundReport", "Spectrum",
     "check_cheng_yang_type", "check_corollary_trio", "check_polya_type",
     "check_thm_drift", "check_thm_tensor",

@@ -22,13 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EvaluationError, MeshTooCoarseError, ParameterError, TensorError
-from .geometry import chart_fields, contract, det_small, immersion_operator_terms, not_spd
+from .geometry import (chart_fields, contract, det_small, immersion_operator_terms, not_spd,
+                       point_bytes)
 
-# bytes of per-point values held at once by a block of the per-point stages:
-# assembly's cells, the check integrals' cells with their eigenfunction
-# values, and the constants' sample points; it bounds the block's share of
-# the peak memory.  4 MB: smaller blocks lowered no peak further and slowed
-# the check integrals by a third or more (timings in the README)
+# bytes of per-point values held at once by a block of the per-point stages,
+# each point counted by geometry.point_bytes: assembly's cells, the check
+# integrals' cells with their eigenfunction values, and the constants' sample
+# points.  4 MB: smaller blocks lowered no peak further and slowed the check
+# integrals by a third or more (timings in the README)
 BLOCK_BYTES = 1 << 22
 
 # reference quadrature
@@ -147,7 +148,7 @@ def assemble(chart, mesh):
     first_bad = None
     # every value is computed per point or per cell, so contiguous cell
     # blocks give the same floats as one pass over the mesh
-    for block in blocks(ncells, nodes * _point_bytes(chart)):  # one point per node
+    for block in blocks(ncells, nodes * point_bytes(chart, "assembly")):  # a point per node
         a_vals[:, block], b_vals[:, block], bad = _element_entries(chart, mesh, block, upper)
         if first_bad is None and np.any(bad):
             first_bad = block.start + int(np.argmax(bad))
@@ -178,14 +179,6 @@ def blocks(count, item_bytes):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _point_bytes(chart):
-    """Bytes per point an assembly block holds at once: the Jacobian, g, g^-1,
-    T and K, and 24 scalars (the cell geometry, the dm weights, the element
-    matrices and the temporaries of the positive-definiteness test, which
-    runs last with all of them live)."""
-    return 8 * (chart.dim_m * chart.dim_n + 4 * chart.dim_n ** 2 + 24)
-
-
 def _element_entries(chart, mesh, cells, upper):
     """Stiffness and mass entries of the local pairs ``upper`` on a slice of
     cells, each of shape ``(pairs, cells)``, and the mask of the cells with a
@@ -213,8 +206,8 @@ class EigenfunctionQuadrature:
     :func:`~spectralab.geometry.immersion_operator_terms` from it, which gives
     ``L h = L x^a`` for the test functions ``h = x^a``, gathers the
     eigenfunction values at its cells' nodes and contracts them with
-    per-cell coefficients.  A block holds about :data:`BLOCK_BYTES` of
-    per-point values; no field over the whole mesh is held.
+    per-cell coefficients.  A block holds at most :data:`BLOCK_BYTES` by
+    :func:`~spectralab.geometry.point_bytes`; no whole-mesh field is held.
     """
 
     def __init__(self, chart, mesh, vertex_values):
@@ -222,7 +215,7 @@ class EigenfunctionQuadrature:
         self.mesh = mesh
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
         values = np.ascontiguousarray(self.vertex_values.T)  # vertex_fields' (V, k) array
-        cell_bytes = mesh.cells.shape[1] * _check_point_bytes(chart, values.shape[1])
+        cell_bytes = mesh.cells.shape[1] * point_bytes(chart, "checks", values.shape[1])
         # the rows of _block_integrals summed over cell blocks, and the
         # largest |T(grad h, grad h)| per ambient axis
         self._sums = self._t_hh_max = 0.0
@@ -246,17 +239,6 @@ class EigenfunctionQuadrature:
         whether ``T(grad h, grad h)`` vanishes at every quadrature point."""
         rows = self._sums[[2 + axis, 3 + self.chart.dim_m + axis], :k]
         return rows[0], rows[1], bool(self._t_hh_max[axis] <= 1e-14)
-
-
-def _check_point_bytes(chart, k):
-    """Bytes per point a block of the check integrals holds at once: the
-    fields and immersion terms, the per-cell coefficients, and four values
-    of each of the ``k`` eigenfunctions (one node value, three at points).
-    The terms hold three ``n^3`` arrays (Γ, ``nabla T``, a contraction); four
-    are counted, which keeps the cell blocks, and so the order of the sums
-    over them and the last digits of the integrals, where they were."""
-    m, n = chart.dim_m, chart.dim_n
-    return 8 * (4 * k + m * n * n + 4 * n ** 3 + 2 * m * n + 6 * n * n + 20)
 
 
 def _block_integrals(chart, mesh, cells, values):

@@ -1,6 +1,4 @@
-"""Generalized symmetric eigensolvers for the assembled pencil ``A x = lambda B x``,
-cross-checked against each other: :func:`solve_dense`, the reference oracle on
-desk-size problems, reduces by a Cholesky factorization of ``B`` (LAPACK);
+"""Generalized symmetric eigensolver for the assembled pencil ``A x = lambda B x``:
 :func:`solve_sparse` is a thick-restarted block shift-invert Lanczos iteration
 in the B inner product, certified by a Sylvester inertia count.  Eigenvectors
 are B-normalized and sign-fixed (largest-magnitude component positive) for
@@ -17,9 +15,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import csr_pencil
-from .errors import ConvergenceError, NotSPDError, ParameterError
+from .errors import ConvergenceError, ParameterError
 
-DENSE_LIMIT = 4000
 DEFAULT_TOL = 1e-8
 SEED = 1234  # of the random start blocks
 RESIDUAL_BYTES = 1 << 20  # per temporary of the Ritz and residual products
@@ -74,32 +71,6 @@ def vertex_fields(result, dof_map):
     for i, vec in enumerate(result.vectors):
         out[interior, i] = vec[dof_map[interior]]
     return out.T
-
-
-def solve_dense(a, b, k):
-    """Lowest ``k`` eigenpairs via Cholesky reduction and LAPACK (the oracle).
-
-    Requires the pencil dimension to be at most 4000 and ``B`` to be
-    symmetric positive definite.
-    """
-    a_csr, b_csr = csr_pencil(a, b)
-    n = a_csr.shape[0]
-    if n > DENSE_LIMIT:
-        raise ParameterError(f"dense solver limited to {DENSE_LIMIT} dofs, got {n}")
-    if k > n:
-        raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
-    if k == 0:
-        return SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
-    try:
-        eigenvalues, vectors = sla.eigh(
-            a_csr.toarray(), b_csr.toarray(), subset_by_index=[0, k - 1])
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError(f"Cholesky reduction failed: B is not SPD ({exc})") from exc
-    # eigh returns B-orthonormal columns already; renormalize defensively
-    vectors = (vectors / np.sqrt(np.sum(vectors * (b_csr @ vectors), axis=0))).T.copy()
-    _fix_signs(vectors)
-    residuals = _relative_residuals(a_csr, b_csr, eigenvalues, vectors)
-    return SpectralResult(eigenvalues, vectors, residuals, 1)
 
 
 def _block_size(k):

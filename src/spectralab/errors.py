@@ -25,10 +25,6 @@ class MeshTooCoarseError(SpectralabError):
     """Dirichlet elimination left no interior degrees of freedom."""
 
 
-class NotSPDError(SpectralabError):
-    """A matrix that must be symmetric positive definite is not."""
-
-
 class ConvergenceError(SpectralabError):
     """The iterative eigensolver hit its iteration cap, or a factorization
     it needs failed (singular, or pivoting off the diagonal)."""

@@ -187,6 +187,13 @@ def _evaluate(node, coords, order):
     raise AssertionError(f"unhandled node {op}")
 
 
+def _pending(node):
+    """The most operands ``_evaluate`` keeps pending below ``node``: a binary
+    node keeps its left operand while it evaluates the right one."""
+    children = [child for child in node[1:] if isinstance(child, tuple)]
+    return max([0] + [i + _pending(child) for i, child in enumerate(children)])
+
+
 def _padded(parts, like):
     return parts + [np.zeros_like(part) for part in like[len(parts):]]
 
@@ -243,6 +250,9 @@ class CompiledExpression:
         self.dim = dim
         try:
             self._ast = _Parser(_tokenize(text), dim).parse()
+            # value, gradient and Hessian lists held at once: the pending operands, and
+            # six for one operation's (most for a power with a varying exponent)
+            self.parts = _pending(self._ast) + 6
         except RecursionError:
             raise ParameterError(f"expression {text[:20]!r}... nested too deeply") from None
 

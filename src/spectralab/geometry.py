@@ -300,26 +300,6 @@ class AssociateFamily:
         return hess
 
 
-class CallableImmersion:
-    """Immersion defined by user callables (position, jacobian, hessian)."""
-
-    def __init__(self, dim_n, dim_m, position, jacobian, hessian):
-        self.dim_n = dim_n
-        self.dim_m = dim_m
-        self._pos = position
-        self._jac = jacobian
-        self._hess = hessian
-
-    def position(self, pts):
-        return np.asarray(self._pos(np.atleast_2d(pts)), dtype=float)
-
-    def jacobian(self, pts):
-        return np.asarray(self._jac(np.atleast_2d(pts)), dtype=float)
-
-    def hessian(self, pts):
-        return np.asarray(self._hess(np.atleast_2d(pts)), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # weight fields (eta) and coefficient tensors (T)
 # ---------------------------------------------------------------------------
@@ -384,6 +364,7 @@ class ExpressionWeight:
 
     def __init__(self, text, dim):
         self.fn = compile_expression(text, dim)
+        self.parts = self.fn.parts
 
     def value(self, pts):
         return self.fn(pts)
@@ -434,6 +415,7 @@ class ExpressionTensor:
                 f"need {expected} upper-triangle entries for a {dim}d tensor")
         self.dim = dim
         self.fns = [compile_expression(text, dim) for text in entries]
+        self.parts = max(fn.parts for fn in self.fns)
         self.pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
 
     def value(self, pts, metric):
@@ -561,6 +543,10 @@ class PointFields:
     t: np.ndarray
     k: np.ndarray
 
+    def jac_ginv(self):
+        """``J g^-1`` ``(N, m, n)``, from which the second form and Γ are built."""
+        return contract("pia,pab->pib", self.jac, self.ginv)
+
 
 def chart_fields(chart, points):
     """The :class:`PointFields` at ``points`` (not checked against the domain)."""
@@ -597,10 +583,10 @@ def not_spd(fields):
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
-def second_fundamental_form(chart, fields, hess):
+def second_fundamental_form(chart, fields, hess, jg):
     """Normal frame, second-fundamental-form components and mean curvature
-    at the points of the :func:`chart_fields` record ``fields``, whose
-    immersion Hessian ``(N, m, n, n)`` is ``hess``.
+    at the points of the :func:`chart_fields` record ``fields``, with the
+    immersion Hessian ``hess`` ``(N, m, n, n)`` and ``jg = fields.jac_ginv()``.
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
@@ -614,9 +600,7 @@ def second_fundamental_form(chart, fields, hess):
     if codim == 0:
         return (np.zeros((npts, 0, m)), np.zeros((npts, 0, n, n)), np.zeros((npts, m)))
 
-    # J g^-1 first: two two-operand products take 2/3 the time of one three-operand
-    jac_ginv = contract("pia,pab->pib", fields.jac, fields.ginv)
-    proj = np.eye(m) - contract("paj,pbj->pab", jac_ginv, fields.jac)
+    proj = np.eye(m) - contract("paj,pbj->pab", jg, fields.jac)
     frames = np.zeros((npts, codim, m))
     count = np.zeros(npts, dtype=int)
     for a in range(m):
@@ -643,7 +627,8 @@ def second_fundamental_form(chart, fields, hess):
 def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
     fields = chart_fields(chart, points)
-    _, alpha, _ = second_fundamental_form(chart, fields, chart.immersion.hessian(fields.points))
+    _, alpha, _ = second_fundamental_form(chart, fields, chart.immersion.hessian(fields.points),
+                                          fields.jac_ginv())
     return _shape_norms(fields, alpha)
 
 
@@ -656,16 +641,14 @@ def _shape_norms(fields, alpha):
 def second_form_hs_norm(chart, points):
     """Hilbert-Schmidt norm of the full second fundamental form, (N,)."""
     norms = shape_operator_norms(chart, points)
-    if norms.shape[1] == 0:
-        return np.zeros(norms.shape[0])
     return np.sqrt((norms ** 2).sum(axis=1))
 
 
-def christoffel(fields, hess):
+def christoffel(jg, hess):
     """Christoffel symbols ``Γ^k_ij`` at ``[:, k, i, j]`` by the Gauss formula
-    ``Γ^k_ij = g^kl <d_i d_j x, d_l x>``, from the :func:`chart_fields`
-    record ``fields`` and the immersion Hessian ``hess`` at its points."""
-    return contract("pak,paij->pkij", contract("pia,pab->pib", fields.jac, fields.ginv), hess)
+    ``Γ^k_ij = g^kl <d_i d_j x, d_l x>``, from ``jg = J g^-1``
+    (:meth:`PointFields.jac_ginv`) and the immersion Hessian ``hess``."""
+    return contract("pak,paij->pkij", jg, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -699,26 +682,16 @@ class GeometricConstants:
         return asdict(self)
 
 
-def trace_grad_tensor(chart, fields, hess):
-    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb and its metric norm at the
-    points of the :func:`chart_fields` record ``fields``, whose immersion
-    Hessian is ``hess``.
-
-    Both results are zero for the metric tensor (metric compatibility).
-    Otherwise the derivatives of T come from the tensor's ``gradient`` and
-    the Christoffel symbols from :func:`christoffel`.
-    """
-    points, g, ginv, t = fields.points, fields.g, fields.ginv, fields.t
-    if chart.tensor.is_metric:
-        return np.zeros_like(points), np.zeros(points.shape[0])
-    gamma = christoffel(fields, hess)
+def trace_grad_tensor(chart, fields, gamma):
+    """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb at the points of the
+    :func:`chart_fields` record ``fields``, with their Christoffel symbols
+    ``gamma`` and the tensor's ``gradient``; zero for the metric tensor
+    (metric compatibility), where it is not called."""
     # nabla_t[:, i, j, k] = (nabla_i T)_{jk} = d_i T_jk - Γ^l_ij T_lk - Γ^l_ik T_jl
-    nabla_t = chart.tensor.gradient(points)
-    nabla_t -= contract("plij,plk->pijk", gamma, t)
-    nabla_t -= contract("plik,pjl->pijk", gamma, t)
-    trace_vec = contract("pij,pijk,pkb->pb", ginv, nabla_t, ginv)
-    norm = np.sqrt(np.maximum(contract("pab,pa,pb->p", g, trace_vec, trace_vec), 0.0))
-    return trace_vec, norm
+    nabla_t = chart.tensor.gradient(fields.points)
+    nabla_t -= contract("plij,plk->pijk", gamma, fields.t)
+    nabla_t -= contract("plik,pjl->pijk", gamma, fields.t)
+    return contract("pij,pijk,pkb->pb", fields.ginv, nabla_t, fields.ginv)
 
 
 def immersion_operator_terms(chart, fields, hess):
@@ -732,8 +705,10 @@ def immersion_operator_terms(chart, fields, hess):
     per normal ``(N, m-n)`` and the chart vector ``V = tr(nabla T) - K d eta``
     ``(N, n)``, so that ``L x = frames^T normal + dx(V)``.
     """
-    frames, alpha, _ = second_fundamental_form(chart, fields, hess)
-    trace_grad, _ = trace_grad_tensor(chart, fields, hess)
+    jg = fields.jac_ginv() if chart.dim_m > chart.dim_n or not chart.tensor.is_metric else None
+    frames, alpha, _ = second_fundamental_form(chart, fields, hess, jg)
+    trace_grad = (0.0 if chart.tensor.is_metric
+                  else trace_grad_tensor(chart, fields, christoffel(jg, hess)))
     tangential = trace_grad - contract("pij,pj->pi", fields.k, chart.eta.gradient(fields.points))
     normal = contract("pij,pkij->pk", fields.k, alpha)
     lx = (contract("pk,pka->pa", normal, frames)
@@ -749,12 +724,12 @@ def compute_constants(chart, resolution):
     by Gauss quadrature of ``sqrt(det g)``.
 
     The grid is evaluated in contiguous blocks of points within
-    ``spectralab.assembly.BLOCK_BYTES`` (:func:`_constants_point_bytes` a
-    point), and each constant is the max or min of the blocks' extremes, so
-    no constant depends on the block size.  The quadrature runs on the same
-    blocks and writes its ``sqrt(det g)`` into one array, summed once.  Peak
-    memory is one block plus the grid, the quadrature points and weights and
-    one value per quadrature point.
+    ``spectralab.assembly.BLOCK_BYTES`` (:func:`point_bytes` a point), each
+    forming the immersion Hessian, ``J g^-1`` and Γ once; each constant is
+    the max or min of the blocks' extremes, so none depends on the block
+    size.  The quadrature writes its ``sqrt(det g)`` on the same blocks into
+    one array, summed once.  Peak memory is one block plus the grid, the
+    quadrature points and weights and one value per quadrature point.
 
     A :class:`DegeneracyError` or :class:`EvaluationError` from any block is
     raised before a :class:`TensorError`, which names the first sample of the
@@ -776,9 +751,9 @@ def compute_constants(chart, resolution):
     if resolution < 8:
         raise ParameterError("constants resolution must be at least 8 points per axis")
     pts = chart.domain.sample_grid(resolution)
-    point_bytes = _constants_point_bytes(chart)
+    block_bytes = point_bytes(chart, "constants")
     extremes, first_bad = [], None
-    for block in blocks(len(pts), point_bytes):
+    for block in blocks(len(pts), block_bytes):
         block_extremes, bad = _block_extremes(chart, pts[block])
         extremes.append(block_extremes)
         if first_bad is None and np.any(bad):
@@ -794,7 +769,7 @@ def compute_constants(chart, resolution):
     qnodes = max(resolution, 16)
     qpts, qwts = chart.domain.quadrature(qnodes)
     weighted = np.empty(len(qwts))  # sqrt(det g), then times the weights
-    for block in blocks(len(qwts), point_bytes):
+    for block in blocks(len(qwts), block_bytes):
         weighted[block] = np.sqrt(det_small(_gram(chart.immersion.jacobian(qpts[block]))))
     weighted *= qwts
 
@@ -808,18 +783,23 @@ def compute_constants(chart, resolution):
     )
 
 
-def _constants_point_bytes(chart):
-    """Bytes per sample point a block of :func:`compute_constants` holds at
-    once: the Jacobian, g, g^-1, T and K, the immersion Hessian and the
-    Christoffel symbols, the largest of the second fundamental form's
-    temporaries (two normal projections, J g^-1 and the second-form
-    products), the two ``n^3`` arrays of ``tr(nabla T)`` and the forward
-    mode of an expression weight's Hessian (the parts of one node and its two
-    operands, two outer products), and 16 scalars."""
+def point_bytes(chart, stage, k=0):
+    """Bytes per point a block of the per-point ``stage`` holds at once: the
+    :class:`PointFields` record, ``1 + n + n^2`` floats for each forward-mode
+    part the chart's expression fields hold at once, and the stage's own."""
     m, n = chart.dim_m, chart.dim_n
-    forward = 3 * (1 + n + n * n) + 2 * n * n
-    return 8 * (m * n + 4 * n * n + m * n * n + n ** 3
-                + max(2 * m * m + m * n * n + m * n, 2 * n ** 3, forward) + 16)
+    parts = max([field.parts for field in (chart.eta, chart.tensor)
+                 if isinstance(field, (ExpressionWeight, ExpressionTensor))], default=0)
+    second_order = m * n * n + m * n + n ** 3  # the immersion Hessian, J g^-1 and Γ
+    own = {
+        "assembly": 24,  # the cell geometry, dm weights, element matrices, SPD test
+        # the larger of the second form's temporaries and tr(nabla T)'s, 16 scalars
+        "constants": second_order + max(2 * m * m + m * n * n, 2 * n ** 3) + 16,
+        # nabla T and a contraction of it, the terms of L x, the per-cell coefficients
+        # and scalars, and a node value and three point values of each eigenfunction
+        "checks": second_order + 2 * n ** 3 + m * n + 2 * n * n + 20 + 4 * k,
+    }[stage]
+    return 8 * (m * n + 4 * n * n + parts * (1 + n + n * n) + own)
 
 
 def _block_extremes(chart, pts):
@@ -831,21 +811,26 @@ def _block_extremes(chart, pts):
         raise EvaluationError("non-finite metric or tensor values on the sample grid")
     bad = not_spd(fields)
     hess = chart.immersion.hessian(pts)
+    jg = fields.jac_ginv()
+    gamma = christoffel(jg, hess)
 
     deta = chart.eta.gradient(pts)
     grad_sq = contract("pij,pi,pj->p", fields.ginv, deta, deta)
     eta0 = np.sqrt(np.maximum(grad_sq, 0.0)).max()
     # drifting Laplacian of eta: g^ij (d_ij eta - Γ^k_ij d_k eta) - |grad eta|^2
-    gamma_trace = contract("pij,pkij->pk", fields.ginv, christoffel(fields, hess))
+    gamma_trace = contract("pij,pkij->pk", fields.ginv, gamma)
     laplacian = (contract("pij,pji->p", fields.ginv, chart.eta.hessian(pts))
                  - contract("pi,pi->p", gamma_trace, deta))
     eta_bar0 = (laplacian - grad_sq).max()
     if not np.isfinite(eta_bar0):
         raise EvaluationError("non-finite drifting Laplacian of the weight on the sample grid")
-    del deta, grad_sq, gamma_trace, laplacian
+    trace_grad = np.zeros_like(pts) if chart.tensor.is_metric else trace_grad_tensor(
+        chart, fields, gamma)
+    t0 = np.sqrt(np.maximum(contract("pab,pa,pb->p", fields.g, trace_grad, trace_grad), 0.0)).max()
+    del deta, grad_sq, gamma_trace, laplacian, gamma, trace_grad  # Γ ends before the second form
 
     if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, fields, hess)
+        _, alpha, mean_curv = second_fundamental_form(chart, fields, hess, jg)
         h0 = np.linalg.norm(mean_curv, axis=1).max()
         a0 = _shape_norms(fields, alpha).max()
         del alpha, mean_curv
@@ -856,7 +841,6 @@ def _block_extremes(chart, pts):
     t_star = np.sqrt(np.maximum(contract("pij,pji->p", ginv_t, ginv_t), 0.0)).max()
     del ginv_t
     tr_t = contract("pij,pji->p", fields.ginv, fields.t)
-    t0 = trace_grad_tensor(chart, fields, hess)[1].max()
     return dict(eta0=eta0, eta_bar0=eta_bar0, h0=h0, a0=a0, t_star=t_star, t0=t0,
                 tr_t_inf=tr_t.min(), tr_t_sup=tr_t.max()), bad
 

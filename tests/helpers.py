@@ -1,20 +1,22 @@
-"""Shared pipeline shortcuts for the test suite."""
+"""Shared pipeline shortcuts and oracles for the test suite."""
 
 import math
 import os
 
 import numpy as np
+import scipy.linalg as sla
 
+from spectralab import eigensolve
 from spectralab.assembly import (
     EigenfunctionQuadrature,
     SparseSymMatrix,
     _cell_geometry,
     _dm_weight,
     assemble,
+    csr_pencil,
 )
-from spectralab.eigensolve import solve_sparse, vertex_fields
+from spectralab.errors import ParameterError, SpectralabError
 from spectralab.geometry import (
-    CallableImmersion,
     Chart,
     Disk,
     PointFields,
@@ -34,6 +36,59 @@ from spectralab.meshing import build_structured
 # step of apply_operator_pointwise's central differences, relative to the
 # largest extent of the domain
 FLUX_STEP_REL = 4.0e-6
+DENSE_LIMIT = 4000
+NESTED_WEIGHT = "x*(y+" * 20 + "x" + ")" * 20  # its forward mode keeps 40 operands pending
+
+
+class NotSPDError(SpectralabError):
+    """A matrix that must be symmetric positive definite is not."""
+
+
+def solve_dense(a, b, k):
+    """Lowest ``k`` eigenpairs via Cholesky reduction and LAPACK: the oracle
+    for ``solve_sparse`` on desk-size problems.
+
+    Requires the pencil dimension to be at most 4000 and ``B`` to be
+    symmetric positive definite.
+    """
+    a_csr, b_csr = csr_pencil(a, b)
+    n = a_csr.shape[0]
+    if n > DENSE_LIMIT:
+        raise ParameterError(f"dense solver limited to {DENSE_LIMIT} dofs, got {n}")
+    if k > n:
+        raise ParameterError(f"requested {k} eigenpairs from a {n}-dim problem")
+    if k == 0:
+        return eigensolve.SpectralResult(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
+    try:
+        eigenvalues, vectors = sla.eigh(
+            a_csr.toarray(), b_csr.toarray(), subset_by_index=[0, k - 1])
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError(f"Cholesky reduction failed: B is not SPD ({exc})") from exc
+    # eigh returns B-orthonormal columns already; renormalize defensively
+    vectors = (vectors / np.sqrt(np.sum(vectors * (b_csr @ vectors), axis=0))).T.copy()
+    eigensolve._fix_signs(vectors)
+    residuals = eigensolve._relative_residuals(a_csr, b_csr, eigenvalues, vectors)
+    return eigensolve.SpectralResult(eigenvalues, vectors, residuals, 1)
+
+
+class CallableImmersion:
+    """Immersion defined by callables (position, jacobian, hessian)."""
+
+    def __init__(self, dim_n, dim_m, position, jacobian, hessian):
+        self.dim_n = dim_n
+        self.dim_m = dim_m
+        self._pos = position
+        self._jac = jacobian
+        self._hess = hessian
+
+    def position(self, pts):
+        return np.asarray(self._pos(np.atleast_2d(pts)), dtype=float)
+
+    def jacobian(self, pts):
+        return np.asarray(self._jac(np.atleast_2d(pts)), dtype=float)
+
+    def hessian(self, pts):
+        return np.asarray(self._hess(np.atleast_2d(pts)), dtype=float)
 
 
 def apply_operator_pointwise(chart, field, points):
@@ -92,8 +147,8 @@ def solve_chart(chart, resolution=16, k=13):
     """Mesh -> assemble -> sparse solve of a built chart: (mesh, matrices, result)."""
     mesh = build_structured(chart.domain, resolution)
     a_mat, b_mat, dof_map = assemble(chart, mesh)
-    result = solve_sparse(a_mat, b_mat, k)
-    result.vertex_values = vertex_fields(result, dof_map)
+    result = eigensolve.solve_sparse(a_mat, b_mat, k)
+    result.vertex_values = eigensolve.vertex_fields(result, dof_map)
     return mesh, (a_mat, b_mat, dof_map), result
 
 

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import GOLDEN_PATH, golden_mismatches, pipeline, scenario_snapshot
+from helpers import GOLDEN_PATH, golden_mismatches, pipeline, scenario_snapshot, solve_dense
 from spectralab.assembly import assemble
 from spectralab.bounds import (
     Spectrum,
@@ -33,7 +33,7 @@ from spectralab.bounds import (
     weyl_fit,
 )
 from spectralab.cli import main as cli_main
-from spectralab.eigensolve import solve_dense, solve_sparse
+from spectralab.eigensolve import solve_sparse
 from spectralab.geometry import compute_constants, make_chart, second_form_hs_norm
 from spectralab.meshing import build_structured
 from spectralab.reference import rectangle_spectrum

@@ -11,13 +11,13 @@ from helpers import (
     dump,
     from_entries,
     linear_eta,
+    solve_dense,
     to_dense,
     weighted_volume,
 )
-from spectralab import assembly
+from spectralab import assembly, geometry
 from spectralab.assembly import assemble
 from spectralab.errors import MeshTooCoarseError, TensorError
-from spectralab.eigensolve import solve_dense
 from spectralab.geometry import (
     CHARTS,
     LinearWeight,
@@ -170,7 +170,7 @@ def test_assembly_independent_of_block_size(monkeypatch, chart_fn, resolution):
     mesh = build_structured(chart.domain, resolution)
     cells_per_block = 7
     assert mesh.num_cells > 5 * cells_per_block and mesh.num_cells % cells_per_block
-    budget = cells_per_block * mesh.cells.shape[1] * assembly._point_bytes(chart)
+    budget = cells_per_block * mesh.cells.shape[1] * geometry.point_bytes(chart, "assembly")
     results = []
     for block_bytes in (budget, 1 << 40):  # many blocks with a ragged last one, then one
         monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
@@ -193,7 +193,7 @@ def test_indefinite_tensor_names_cell(monkeypatch):
     mesh = build_structured(chart.domain, 8)
     for cells_per_block in (3, mesh.num_cells):
         monkeypatch.setattr(assembly, "BLOCK_BYTES",
-                            cells_per_block * 3 * assembly._point_bytes(chart))
+                            cells_per_block * 3 * geometry.point_bytes(chart, "assembly"))
         with pytest.raises(TensorError, match=r"of cell 80$"):
             assemble(chart, mesh)
 
@@ -217,7 +217,7 @@ def test_assembly_peak_memory_bounded_by_block_budget(monkeypatch):
     for chart in (chart, make_chart("flat_rectangle", tensor=diag_tensor(1.0, 2.0)),
                   _expression_chart()):
         mesh = build_structured(chart.domain, 48)
-        budget = 3 * assembly._point_bytes(chart)  # one point per node
+        budget = 3 * geometry.point_bytes(chart, "assembly")  # one point per node
         cells = assembly.BLOCK_BYTES // budget
         tracemalloc.start()
         try:

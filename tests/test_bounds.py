@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    NESTED_WEIGHT,
+    CallableImmersion,
     QuadratureFields,
     diag_tensor,
     flat_square_in_r3,
@@ -17,7 +19,7 @@ from helpers import (
     reference_tensor_integrals,
     solve_chart,
 )
-from spectralab import assembly
+from spectralab import assembly, geometry
 from spectralab.bounds import (
     Spectrum,
     check_cheng_yang_type,
@@ -37,7 +39,6 @@ from spectralab.bounds import (
 )
 from spectralab.errors import ParameterError, ShiftPositivityError
 from spectralab.geometry import (
-    CallableImmersion,
     Chart,
     Disk,
     GeometricConstants,
@@ -475,7 +476,7 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
 def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
     chart, result, first = _integral_context("weighted_sphere")
     k = result.vertex_values.shape[0]
-    cell_bytes = first.mesh.cells.shape[1] * assembly._check_point_bytes(chart, k)
+    cell_bytes = first.mesh.cells.shape[1] * geometry.point_bytes(chart, "checks", k)
     results = []
     # blocks of 7 and 400 cells, each with a ragged last block, then one block
     for cells_per_block in (7, 400, None):
@@ -492,9 +493,10 @@ def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
 
 
 def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatch):
-    # codimension 1 with the metric tensor: a block's fields, second
-    # fundamental form, L x and grad h all read one Jacobian evaluation
-    calls = {"jacobian": 0, "hessian": 0, "blocks": 0}
+    # codimension 1: a block's fields, second fundamental form, L x and grad h
+    # all read one Jacobian and one Hessian evaluation and one J g^-1; with a
+    # diagonal tensor, tr(nabla T) reads one set of Christoffel symbols
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -505,16 +507,22 @@ def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatc
     sphere = StereographicSphere(1.0)
     immersion = CallableImmersion(2, 3, sphere.position, counted("jacobian", sphere.jacobian),
                                   counted("hessian", sphere.hessian))
-    chart = Chart(2, 3, Disk(), immersion, make_eta("zero"), make_tensor("metric"))
-    mesh = build_structured(chart.domain, 6)
-    values = np.random.default_rng(3).standard_normal((3, mesh.num_vertices))
-    cells_per_block = 7
-    monkeypatch.setattr(assembly, "BLOCK_BYTES", cells_per_block * mesh.cells.shape[1]
-                        * assembly._check_point_bytes(chart, 3))
     monkeypatch.setattr(assembly, "_block_integrals", counted("blocks", assembly._block_integrals))
-    assembly.EigenfunctionQuadrature(chart, mesh, values)
-    assert calls["blocks"] == -(-mesh.num_cells // cells_per_block) > 1
-    assert calls["jacobian"] == calls["hessian"] == calls["blocks"]
+    monkeypatch.setattr(geometry.PointFields, "jac_ginv",
+                        counted("J g^-1", geometry.PointFields.jac_ginv))
+    monkeypatch.setattr(geometry, "christoffel", counted("christoffel", geometry.christoffel))
+    cells_per_block = 7
+    for tensor in (make_tensor("metric"), make_tensor("diag", (0.5, 1.0))):
+        chart = Chart(2, 3, Disk(), immersion, make_eta("zero"), tensor)
+        mesh = build_structured(chart.domain, 6)
+        values = np.random.default_rng(3).standard_normal((3, mesh.num_vertices))
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", cells_per_block * mesh.cells.shape[1]
+                            * geometry.point_bytes(chart, "checks", 3))
+        calls.update(dict.fromkeys(["jacobian", "hessian", "blocks", "J g^-1", "christoffel"], 0))
+        assembly.EigenfunctionQuadrature(chart, mesh, values)
+        assert calls["blocks"] == -(-mesh.num_cells // cells_per_block) > 1
+        assert calls["jacobian"] == calls["hessian"] == calls["J g^-1"] == calls["blocks"]
+        assert calls["christoffel"] == (0 if tensor.is_metric else calls["blocks"])
 
 
 def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):
@@ -533,6 +541,21 @@ def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < assembly.BLOCK_BYTES + 2 * result.vertex_values.nbytes
+    # one block stays within its per-point count, also for a nested
+    # expression weight with a diagonal tensor
+    values = np.ascontiguousarray(result.vertex_values.T)
+    for chart in (chart, make_chart("stereographic_sphere", (1.0,), eta=make_eta(
+            "expr", expr=NESTED_WEIGHT), tensor=diag_tensor(0.5, 1.0))):
+        cell_bytes = mesh.cells.shape[1] * geometry.point_bytes(chart, "checks", 20)
+        cells = assembly.BLOCK_BYTES // cell_bytes
+        assembly._block_integrals(chart, mesh, slice(0, 10), values)  # contract's plans, apart
+        tracemalloc.start()
+        try:
+            assembly._block_integrals(chart, mesh, slice(0, cells), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cells * cell_bytes
 
 
 def test_integrated_tensor_report_independent_of_call_order():

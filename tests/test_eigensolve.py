@@ -10,22 +10,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import pipeline
+from helpers import DENSE_LIMIT, NotSPDError, pipeline, solve_dense
 from spectralab import eigensolve
 from spectralab.assembly import assemble, csr_pencil
 from spectralab.cli import main
 from spectralab.eigensolve import (
-    DENSE_LIMIT,
     _block_size,
     _inertia,
     _lanczos_sweep,
     _relative_residuals,
     _ritz_pairs,
-    solve_dense,
     solve_sparse,
     vertex_fields,
 )
-from spectralab.errors import ConvergenceError, NotSPDError, ParameterError
+from spectralab.errors import ConvergenceError, ParameterError
 from spectralab.geometry import make_chart, make_eta
 from spectralab.meshing import build_structured
 
