@@ -32,6 +32,9 @@ from .geometry import (chart_fields, contract, det_small, immersion_operator_ter
 # integrals by a third or more (timings in the README)
 BLOCK_BYTES = 1 << 22
 
+# an assembly point's own floats: cell geometry, dm weights, element matrices, SPD test
+_ELEMENT_FLOATS = 24
+
 # reference quadrature
 _GAUSS_1D = (np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
              np.array([0.5, 0.5]))  # weights on the unit segment
@@ -148,7 +151,7 @@ def assemble(chart, mesh):
     first_bad = None
     # every value is computed per point or per cell, so contiguous cell
     # blocks give the same floats as one pass over the mesh
-    for block in blocks(ncells, nodes * point_bytes(chart, "assembly")):  # a point per node
+    for block in blocks(ncells, nodes * point_bytes(chart, _ELEMENT_FLOATS, 0)):  # a point a node
         a_vals[:, block], b_vals[:, block], bad = _element_entries(chart, mesh, block, upper)
         if first_bad is None and np.any(bad):
             first_bad = block.start + int(np.argmax(bad))
@@ -215,7 +218,8 @@ class EigenfunctionQuadrature:
         self.mesh = mesh
         self.vertex_values = np.atleast_2d(np.asarray(vertex_values, dtype=float))
         values = np.ascontiguousarray(self.vertex_values.T)  # vertex_fields' (V, k) array
-        cell_bytes = mesh.cells.shape[1] * point_bytes(chart, "checks", values.shape[1])
+        own = _check_floats(chart, values.shape[1])
+        cell_bytes = mesh.cells.shape[1] * point_bytes(chart, own, 1)
         # the rows of _block_integrals summed over cell blocks, and the
         # largest |T(grad h, grad h)| per ambient axis
         self._sums = self._t_hh_max = 0.0
@@ -239,6 +243,13 @@ class EigenfunctionQuadrature:
         whether ``T(grad h, grad h)`` vanishes at every quadrature point."""
         rows = self._sums[[2 + axis, 3 + self.chart.dim_m + axis], :k]
         return rows[0], rows[1], bool(self._t_hh_max[axis] <= 1e-14)
+
+
+def _check_floats(chart, k):
+    """A check point's own floats: the immersion Hessian, ``J g^-1``, Γ, ``nabla T`` and
+    a contraction, ``L x``'s terms, cell scalars, four values of each of ``k`` modes."""
+    m, n = chart.dim_m, chart.dim_n
+    return m * n * n + 2 * m * n + 3 * n ** 3 + 2 * n * n + 20 + 4 * k
 
 
 def _block_integrals(chart, mesh, cells, values):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -543,8 +543,10 @@ class PointFields:
     t: np.ndarray
     k: np.ndarray
 
+    @cached_property
     def jac_ginv(self):
-        """``J g^-1`` ``(N, m, n)``, from which the second form and Γ are built."""
+        """``J g^-1`` ``(N, m, n)``, formed at most once per record, from which
+        the second form and Γ are built."""
         return contract("pia,pab->pib", self.jac, self.ginv)
 
 
@@ -583,10 +585,10 @@ def not_spd(fields):
     return eig.min(axis=1) <= DEGENERACY_TOL * scale
 
 
-def second_fundamental_form(chart, fields, hess, jg):
+def second_fundamental_form(chart, fields, hess):
     """Normal frame, second-fundamental-form components and mean curvature
-    at the points of the :func:`chart_fields` record ``fields``, with the
-    immersion Hessian ``hess`` ``(N, m, n, n)`` and ``jg = fields.jac_ginv()``.
+    at the points of the :func:`chart_fields` record ``fields``, whose
+    immersion Hessian ``(N, m, n, n)`` is ``hess``.
 
     Returns ``(frames, alpha, mean_curvature)`` with shapes
     ``(N, m-n, m)``, ``(N, m-n, n, n)`` and ``(N, m)``.  The frame is built
@@ -600,7 +602,7 @@ def second_fundamental_form(chart, fields, hess, jg):
     if codim == 0:
         return (np.zeros((npts, 0, m)), np.zeros((npts, 0, n, n)), np.zeros((npts, m)))
 
-    proj = np.eye(m) - contract("paj,pbj->pab", jg, fields.jac)
+    proj = np.eye(m) - contract("paj,pbj->pab", fields.jac_ginv, fields.jac)
     frames = np.zeros((npts, codim, m))
     count = np.zeros(npts, dtype=int)
     for a in range(m):
@@ -627,8 +629,7 @@ def second_fundamental_form(chart, fields, hess, jg):
 def shape_operator_norms(chart, points):
     """Hilbert-Schmidt norm of the shape operator per normal direction, (N, m-n)."""
     fields = chart_fields(chart, points)
-    _, alpha, _ = second_fundamental_form(chart, fields, chart.immersion.hessian(fields.points),
-                                          fields.jac_ginv())
+    _, alpha, _ = second_fundamental_form(chart, fields, chart.immersion.hessian(fields.points))
     return _shape_norms(fields, alpha)
 
 
@@ -644,11 +645,11 @@ def second_form_hs_norm(chart, points):
     return np.sqrt((norms ** 2).sum(axis=1))
 
 
-def christoffel(jg, hess):
+def christoffel(fields, hess):
     """Christoffel symbols ``Γ^k_ij`` at ``[:, k, i, j]`` by the Gauss formula
-    ``Γ^k_ij = g^kl <d_i d_j x, d_l x>``, from ``jg = J g^-1``
-    (:meth:`PointFields.jac_ginv`) and the immersion Hessian ``hess``."""
-    return contract("pak,paij->pkij", jg, hess)
+    ``Γ^k_ij = g^kl <d_i d_j x, d_l x>``, from the :func:`chart_fields`
+    record ``fields`` and the immersion Hessian ``hess`` at its points."""
+    return contract("pak,paij->pkij", fields.jac_ginv, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +687,9 @@ def trace_grad_tensor(chart, fields, gamma):
     """tr(nabla T)^b = g^ij (nabla_i T)_jk g^kb at the points of the
     :func:`chart_fields` record ``fields``, with their Christoffel symbols
     ``gamma`` and the tensor's ``gradient``; zero for the metric tensor
-    (metric compatibility), where it is not called."""
+    (metric compatibility)."""
+    if chart.tensor.is_metric:
+        return np.zeros_like(fields.points)
     # nabla_t[:, i, j, k] = (nabla_i T)_{jk} = d_i T_jk - Γ^l_ij T_lk - Γ^l_ik T_jl
     nabla_t = chart.tensor.gradient(fields.points)
     nabla_t -= contract("plij,plk->pijk", gamma, fields.t)
@@ -705,10 +708,8 @@ def immersion_operator_terms(chart, fields, hess):
     per normal ``(N, m-n)`` and the chart vector ``V = tr(nabla T) - K d eta``
     ``(N, n)``, so that ``L x = frames^T normal + dx(V)``.
     """
-    jg = fields.jac_ginv() if chart.dim_m > chart.dim_n or not chart.tensor.is_metric else None
-    frames, alpha, _ = second_fundamental_form(chart, fields, hess, jg)
-    trace_grad = (0.0 if chart.tensor.is_metric
-                  else trace_grad_tensor(chart, fields, christoffel(jg, hess)))
+    frames, alpha, _ = second_fundamental_form(chart, fields, hess)
+    trace_grad = trace_grad_tensor(chart, fields, christoffel(fields, hess))
     tangential = trace_grad - contract("pij,pj->pi", fields.k, chart.eta.gradient(fields.points))
     normal = contract("pij,pkij->pk", fields.k, alpha)
     lx = (contract("pk,pka->pa", normal, frames)
@@ -751,7 +752,7 @@ def compute_constants(chart, resolution):
     if resolution < 8:
         raise ParameterError("constants resolution must be at least 8 points per axis")
     pts = chart.domain.sample_grid(resolution)
-    block_bytes = point_bytes(chart, "constants")
+    block_bytes = point_bytes(chart, _constants_floats(chart), 2)
     extremes, first_bad = [], None
     for block in blocks(len(pts), block_bytes):
         block_extremes, bad = _block_extremes(chart, pts[block])
@@ -783,23 +784,22 @@ def compute_constants(chart, resolution):
     )
 
 
-def point_bytes(chart, stage, k=0):
-    """Bytes per point a block of the per-point ``stage`` holds at once: the
-    :class:`PointFields` record, ``1 + n + n^2`` floats for each forward-mode
-    part the chart's expression fields hold at once, and the stage's own."""
+def point_bytes(chart, own, order):
+    """Bytes per point a block of a per-point stage holds at once: the
+    :class:`PointFields` record, the forward-mode parts the chart's expression
+    fields hold at once up to derivative ``order`` (``1 + n + ... + n^order``
+    floats a part), and the stage's ``own`` floats."""
     m, n = chart.dim_m, chart.dim_n
     parts = max([field.parts for field in (chart.eta, chart.tensor)
                  if isinstance(field, (ExpressionWeight, ExpressionTensor))], default=0)
-    second_order = m * n * n + m * n + n ** 3  # the immersion Hessian, J g^-1 and Γ
-    own = {
-        "assembly": 24,  # the cell geometry, dm weights, element matrices, SPD test
-        # the larger of the second form's temporaries and tr(nabla T)'s, 16 scalars
-        "constants": second_order + max(2 * m * m + m * n * n, 2 * n ** 3) + 16,
-        # nabla T and a contraction of it, the terms of L x, the per-cell coefficients
-        # and scalars, and a node value and three point values of each eigenfunction
-        "checks": second_order + 2 * n ** 3 + m * n + 2 * n * n + 20 + 4 * k,
-    }[stage]
-    return 8 * (m * n + 4 * n * n + parts * (1 + n + n * n) + own)
+    return 8 * (m * n + 4 * n * n + parts * sum(n ** d for d in range(order + 1)) + own)
+
+
+def _constants_floats(chart):
+    """A sample point's own floats: the immersion Hessian, ``J g^-1``, Γ, the larger of
+    the second form's temporaries and ``tr(nabla T)``'s two ``n^3`` arrays, 16 scalars."""
+    m, n = chart.dim_m, chart.dim_n
+    return m * n * n + m * n + n ** 3 + max(2 * m * m + m * n * n, 2 * n ** 3) + 16
 
 
 def _block_extremes(chart, pts):
@@ -811,8 +811,7 @@ def _block_extremes(chart, pts):
         raise EvaluationError("non-finite metric or tensor values on the sample grid")
     bad = not_spd(fields)
     hess = chart.immersion.hessian(pts)
-    jg = fields.jac_ginv()
-    gamma = christoffel(jg, hess)
+    gamma = christoffel(fields, hess)
 
     deta = chart.eta.gradient(pts)
     grad_sq = contract("pij,pi,pj->p", fields.ginv, deta, deta)
@@ -824,13 +823,12 @@ def _block_extremes(chart, pts):
     eta_bar0 = (laplacian - grad_sq).max()
     if not np.isfinite(eta_bar0):
         raise EvaluationError("non-finite drifting Laplacian of the weight on the sample grid")
-    trace_grad = np.zeros_like(pts) if chart.tensor.is_metric else trace_grad_tensor(
-        chart, fields, gamma)
+    trace_grad = trace_grad_tensor(chart, fields, gamma)
     t0 = np.sqrt(np.maximum(contract("pab,pa,pb->p", fields.g, trace_grad, trace_grad), 0.0)).max()
     del deta, grad_sq, gamma_trace, laplacian, gamma, trace_grad  # Γ ends before the second form
 
     if chart.dim_m > chart.dim_n:
-        _, alpha, mean_curv = second_fundamental_form(chart, fields, hess, jg)
+        _, alpha, mean_curv = second_fundamental_form(chart, fields, hess)
         h0 = np.linalg.norm(mean_curv, axis=1).max()
         a0 = _shape_norms(fields, alpha).max()
         del alpha, mean_curv

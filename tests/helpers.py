@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,24 +72,15 @@ def solve_dense(a, b, k):
     return eigensolve.SpectralResult(eigenvalues, vectors, residuals, 1)
 
 
+@dataclass
 class CallableImmersion:
-    """Immersion defined by callables (position, jacobian, hessian)."""
+    """Immersion defined by callables of ``(N, n)`` point arrays."""
 
-    def __init__(self, dim_n, dim_m, position, jacobian, hessian):
-        self.dim_n = dim_n
-        self.dim_m = dim_m
-        self._pos = position
-        self._jac = jacobian
-        self._hess = hessian
-
-    def position(self, pts):
-        return np.asarray(self._pos(np.atleast_2d(pts)), dtype=float)
-
-    def jacobian(self, pts):
-        return np.asarray(self._jac(np.atleast_2d(pts)), dtype=float)
-
-    def hessian(self, pts):
-        return np.asarray(self._hess(np.atleast_2d(pts)), dtype=float)
+    dim_n: int
+    dim_m: int
+    position: object
+    jacobian: object
+    hessian: object
 
 
 def apply_operator_pointwise(chart, field, points):

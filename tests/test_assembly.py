@@ -170,7 +170,8 @@ def test_assembly_independent_of_block_size(monkeypatch, chart_fn, resolution):
     mesh = build_structured(chart.domain, resolution)
     cells_per_block = 7
     assert mesh.num_cells > 5 * cells_per_block and mesh.num_cells % cells_per_block
-    budget = cells_per_block * mesh.cells.shape[1] * geometry.point_bytes(chart, "assembly")
+    point_bytes = geometry.point_bytes(chart, assembly._ELEMENT_FLOATS, 0)
+    budget = cells_per_block * mesh.cells.shape[1] * point_bytes
     results = []
     for block_bytes in (budget, 1 << 40):  # many blocks with a ragged last one, then one
         monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
@@ -191,9 +192,9 @@ def test_indefinite_tensor_names_cell(monkeypatch):
     # whole-mesh pass reports it) lies many blocks into the mesh
     chart = make_chart("flat_rectangle", tensor=make_tensor("expr", expr="1; 0; 0.7 - x", dim=2))
     mesh = build_structured(chart.domain, 8)
+    point_bytes = geometry.point_bytes(chart, assembly._ELEMENT_FLOATS, 0)
     for cells_per_block in (3, mesh.num_cells):
-        monkeypatch.setattr(assembly, "BLOCK_BYTES",
-                            cells_per_block * 3 * geometry.point_bytes(chart, "assembly"))
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", cells_per_block * 3 * point_bytes)
         with pytest.raises(TensorError, match=r"of cell 80$"):
             assemble(chart, mesh)
 
@@ -217,7 +218,8 @@ def test_assembly_peak_memory_bounded_by_block_budget(monkeypatch):
     for chart in (chart, make_chart("flat_rectangle", tensor=diag_tensor(1.0, 2.0)),
                   _expression_chart()):
         mesh = build_structured(chart.domain, 48)
-        budget = 3 * geometry.point_bytes(chart, "assembly")  # one point per node
+        # one point per node
+        budget = 3 * geometry.point_bytes(chart, assembly._ELEMENT_FLOATS, 0)
         cells = assembly.BLOCK_BYTES // budget
         tracemalloc.start()
         try:

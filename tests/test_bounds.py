@@ -476,7 +476,8 @@ def test_eigenfunction_integrals_match_per_eigenfunction_reference(case):
 def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
     chart, result, first = _integral_context("weighted_sphere")
     k = result.vertex_values.shape[0]
-    cell_bytes = first.mesh.cells.shape[1] * geometry.point_bytes(chart, "checks", k)
+    point_bytes = geometry.point_bytes(chart, assembly._check_floats(chart, k), 1)
+    cell_bytes = first.mesh.cells.shape[1] * point_bytes
     results = []
     # blocks of 7 and 400 cells, each with a ragged last block, then one block
     for cells_per_block in (7, 400, None):
@@ -494,8 +495,8 @@ def test_eigenfunction_integrals_independent_of_block_size(monkeypatch):
 
 def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatch):
     # codimension 1: a block's fields, second fundamental form, L x and grad h
-    # all read one Jacobian and one Hessian evaluation and one J g^-1; with a
-    # diagonal tensor, tr(nabla T) reads one set of Christoffel symbols
+    # all read one Jacobian and one Hessian evaluation, and tr(nabla T) one
+    # set of Christoffel symbols
     calls = {}
 
     def counted(name, fn):
@@ -508,8 +509,6 @@ def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatc
     immersion = CallableImmersion(2, 3, sphere.position, counted("jacobian", sphere.jacobian),
                                   counted("hessian", sphere.hessian))
     monkeypatch.setattr(assembly, "_block_integrals", counted("blocks", assembly._block_integrals))
-    monkeypatch.setattr(geometry.PointFields, "jac_ginv",
-                        counted("J g^-1", geometry.PointFields.jac_ginv))
     monkeypatch.setattr(geometry, "christoffel", counted("christoffel", geometry.christoffel))
     cells_per_block = 7
     for tensor in (make_tensor("metric"), make_tensor("diag", (0.5, 1.0))):
@@ -517,12 +516,11 @@ def test_check_integrals_evaluate_jacobian_and_hessian_once_per_block(monkeypatc
         mesh = build_structured(chart.domain, 6)
         values = np.random.default_rng(3).standard_normal((3, mesh.num_vertices))
         monkeypatch.setattr(assembly, "BLOCK_BYTES", cells_per_block * mesh.cells.shape[1]
-                            * geometry.point_bytes(chart, "checks", 3))
-        calls.update(dict.fromkeys(["jacobian", "hessian", "blocks", "J g^-1", "christoffel"], 0))
+                            * geometry.point_bytes(chart, assembly._check_floats(chart, 3), 1))
+        calls.update(dict.fromkeys(["jacobian", "hessian", "blocks", "christoffel"], 0))
         assembly.EigenfunctionQuadrature(chart, mesh, values)
         assert calls["blocks"] == -(-mesh.num_cells // cells_per_block) > 1
-        assert calls["jacobian"] == calls["hessian"] == calls["J g^-1"] == calls["blocks"]
-        assert calls["christoffel"] == (0 if tensor.is_metric else calls["blocks"])
+        assert calls["jacobian"] == calls["hessian"] == calls["christoffel"] == calls["blocks"]
 
 
 def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):
@@ -546,7 +544,8 @@ def test_check_integrals_peak_memory_bounded_by_block_budget(monkeypatch):
     values = np.ascontiguousarray(result.vertex_values.T)
     for chart in (chart, make_chart("stereographic_sphere", (1.0,), eta=make_eta(
             "expr", expr=NESTED_WEIGHT), tensor=diag_tensor(0.5, 1.0))):
-        cell_bytes = mesh.cells.shape[1] * geometry.point_bytes(chart, "checks", 20)
+        point_bytes = geometry.point_bytes(chart, assembly._check_floats(chart, 20), 1)
+        cell_bytes = mesh.cells.shape[1] * point_bytes
         cells = assembly.BLOCK_BYTES // cell_bytes
         assembly._block_integrals(chart, mesh, slice(0, 10), values)  # contract's plans, apart
         tracemalloc.start()

@@ -90,9 +90,8 @@ def test_degenerate_immersion_detected():
 
 
 def _second_form(chart, pts):
-    """``second_fundamental_form`` at ``pts``, with its fields, Hessian and J g^-1."""
-    fields = chart_fields(chart, pts)
-    return second_fundamental_form(chart, fields, chart.immersion.hessian(pts), fields.jac_ginv())
+    """``second_fundamental_form`` at ``pts``, with its fields and Hessian."""
+    return second_fundamental_form(chart, chart_fields(chart, pts), chart.immersion.hessian(pts))
 
 
 def test_flat_chart_has_no_curvature():
@@ -158,7 +157,7 @@ def test_clifford_torus_in_r4_frame_and_curvatures():
                   make_eta("zero"), make_tensor("metric"))
     pts = np.random.default_rng(11).uniform(0, 2 * math.pi, (500, 2))
     fields = chart_fields(chart, pts)
-    frames, _, mean_curv = _second_form(chart, pts)
+    frames, _, mean_curv = second_fundamental_form(chart, fields, chart.immersion.hessian(pts))
     assert frames.shape == (500, 2, 4)
     assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
     assert np.abs(frames @ fields.jac).max() <= 1e-12
@@ -177,7 +176,7 @@ def test_circle_in_r3_has_a_two_normal_frame():
                   make_eta("zero"), make_tensor("metric"))
     pts = np.random.default_rng(12).uniform(0, 2 * math.pi, (500, 1))
     fields = chart_fields(chart, pts)
-    frames, _, mean_curv = _second_form(chart, pts)
+    frames, _, mean_curv = second_fundamental_form(chart, fields, chart.immersion.hessian(pts))
     assert frames.shape == (500, 2, 3)
     assert np.abs(frames @ frames.transpose(0, 2, 1) - np.eye(2)).max() <= 1e-14
     assert np.abs(frames @ fields.jac).max() <= 1e-12
@@ -263,10 +262,10 @@ def test_linear_weight_drifting_laplacian_on_flat_charts():
 
 
 def test_constants_block_evaluates_each_derivative_once(monkeypatch):
-    # one Jacobian (in chart_fields), one immersion Hessian, one J g^-1, one
-    # set of Christoffel symbols, one weight gradient and one weight Hessian
-    # per block of sample points; with a diagonal tensor on the hemisphere,
-    # the second fundamental form and tr(nabla T) reuse J g^-1 and Γ
+    # one Jacobian (in chart_fields), one immersion Hessian, one set of
+    # Christoffel symbols, one weight gradient and one weight Hessian per
+    # block of sample points; with a diagonal tensor on the hemisphere,
+    # tr(nabla T) reuses the drifting Laplacian's Γ
     calls = {}
 
     def count(owner, name, key):
@@ -276,7 +275,6 @@ def test_constants_block_evaluates_each_derivative_once(monkeypatch):
             calls[key] = calls.get(key, 0) + 1
             return method(*args)
         monkeypatch.setattr(owner, name, counted)
-    count(geometry.PointFields, "jac_ginv", "J g^-1")
     count(geometry, "christoffel", "christoffel")
     for chart_id, params, tensor in (("flat_rectangle", (), make_tensor("metric")),
                                      ("stereographic_sphere", (1.0,), diag_tensor(0.5, 1.0))):
@@ -288,8 +286,8 @@ def test_constants_block_evaluates_each_derivative_once(monkeypatch):
         count(chart.eta, "hessian", "eta hessian")
         calls.clear()
         geometry._block_extremes(chart, chart.domain.sample_grid(8))
-        assert calls == dict.fromkeys(["jacobian", "hessian", "J g^-1", "christoffel",
-                                       "eta gradient", "eta hessian"], 1)
+        assert calls == dict.fromkeys(["jacobian", "hessian", "christoffel", "eta gradient",
+                                       "eta hessian"], 1)
 
 
 def test_constants_refinement_monotone():
@@ -373,7 +371,8 @@ def test_constants_independent_of_block_size(monkeypatch, chart_id):
                         lambda chart, pts: calls.append(len(pts)) or block_extremes(chart, pts))
     results = []
     # many blocks with a ragged last one, then one
-    for block_bytes in (points_per_block * geometry.point_bytes(chart, "constants"), 1 << 40):
+    point_bytes = geometry.point_bytes(chart, geometry._constants_floats(chart), 2)
+    for block_bytes in (points_per_block * point_bytes, 1 << 40):
         monkeypatch.setattr(assembly, "BLOCK_BYTES", block_bytes)
         results.append(compute_constants(chart, resolution).as_dict())
     assert calls == [points_per_block] * (points // points_per_block) + [
@@ -385,7 +384,7 @@ def test_constants_tensor_error_after_every_block(monkeypatch):
     # indefinite where x > 0.7 only: the first bad sample, (0.75, 0.0) at 54
     # of the 81 grid points, lies many 7-point blocks in
     chart = make_chart("flat_rectangle", tensor=make_tensor("expr", expr="1; 0; 0.7 - x", dim=2))
-    point_bytes = geometry.point_bytes(chart, "constants")
+    point_bytes = geometry.point_bytes(chart, geometry._constants_floats(chart), 2)
     for points_per_block in (7, 81):
         monkeypatch.setattr(assembly, "BLOCK_BYTES", points_per_block * point_bytes)
         with pytest.raises(TensorError, match=r"definite at sample \(0\.75, 0\.0\)$"):
@@ -422,7 +421,7 @@ def test_constants_peak_memory_bounded_by_block_budget():
                   _expression_fields_chart("cylinder"), _expression_fields_chart("flat_interval"),
                   make_chart("stereographic_sphere", (1.0,),
                              eta=make_eta("expr", expr=NESTED_WEIGHT))):
-        point_bytes = geometry.point_bytes(chart, "constants")
+        point_bytes = geometry.point_bytes(chart, geometry._constants_floats(chart), 2)
         count = assembly.BLOCK_BYTES // point_bytes
         pts = chart.domain.sample_grid(96 if chart.dim_n == 2 else 4 * count)[:count]
         assert len(pts) == count
