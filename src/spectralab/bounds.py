@@ -384,7 +384,7 @@ def intro_comparators(spec, n, k, consts=None):
     # difference bound
     reports.append(_report("ppw", k, float(v[k] - v[k - 1]),
                            float(4.0 / (n * k) * v[:k].sum()), slack))
-    # reciprocal-gap bound: at a tie its right-hand side is +inf and it holds
+    # reciprocal-gap bound: a tie divides by zero on purpose, to a +inf side that holds
     with np.errstate(divide="ignore"):
         reports.append(_report("hile_protter", k, n * k / 4.0,
                                float((v[:k] / (v[k] - v[:k])).sum()), slack))

@@ -184,6 +184,8 @@ def _lanczos_sweep(lu, a_csr, b_csr, rng, deflate, want, step_cap, p):
         restart = not exhausted and m + p > m_max and j < blocks - 1
         if m >= want and (exhausted or restart or j == blocks - 1
                           or (j + 1 - restarted) % cadence == 0):
+            if not np.isfinite(t[:m + p, :m]).all():  # SuperLU raises no floating-point error
+                raise FloatingPointError("non-finite value in the shift-invert solves")
             theta, s = (  # a restart's arrowhead is not banded: its largest pairs, densely
                 sla.eigh(t[:m, :m], lower=True, subset_by_index=[m - keep, m - 1]) if restarted
                 else sla.eig_banded([np.diagonal(t[:m + p, :m], -d) for d in range(p + 1)],

@@ -18,7 +18,8 @@ class TensorError(SpectralabError):
 
 
 class EvaluationError(SpectralabError):
-    """A field produced non-finite values or could not be evaluated."""
+    """A field produced non-finite values or could not be evaluated, or a stage
+    of ``run_scenario`` overflowed, divided by zero or made an invalid operation."""
 
 
 class MeshTooCoarseError(SpectralabError):

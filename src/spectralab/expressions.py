@@ -264,7 +264,7 @@ class CompiledExpression:
         ``(N, dim, dim)`` at ``points``, the first ``order + 1`` of them."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         try:
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):  # checked below so the error names the expression
                 parts = _evaluate(self._ast, points, order)
         except RecursionError:
             raise EvaluationError(f"expression {self.text[:20]!r}... nested too deeply") from None

@@ -23,12 +23,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    EvaluationError,
-    ParameterError,
-    TensorError,
-)
+from .errors import DegeneracyError, ParameterError, TensorError
 from .expressions import compile_expression
 
 DEGENERACY_TOL = 1e-12
@@ -736,6 +731,7 @@ def compute_constants(chart, resolution):
     raised before a :class:`TensorError`, which names the first sample of the
     whole grid where T is not positive definite.  So on a grid with both
     faults the field error is raised, even where it lies past that sample.
+    Floating-point faults follow the caller's numpy error state.
 
     Parameters
     ----------
@@ -807,8 +803,6 @@ def _block_extremes(chart, pts):
     by :class:`GeometricConstants` field name, and the mask of the points
     where T is not positive definite."""
     fields = chart_fields(chart, pts)
-    if not (np.all(np.isfinite(fields.g)) and np.all(np.isfinite(fields.t))):
-        raise EvaluationError("non-finite metric or tensor values on the sample grid")
     bad = not_spd(fields)
     hess = chart.immersion.hessian(pts)
     gamma = christoffel(fields, hess)
@@ -821,8 +815,6 @@ def _block_extremes(chart, pts):
     laplacian = (contract("pij,pji->p", fields.ginv, chart.eta.hessian(pts))
                  - contract("pi,pi->p", gamma_trace, deta))
     eta_bar0 = (laplacian - grad_sq).max()
-    if not np.isfinite(eta_bar0):
-        raise EvaluationError("non-finite drifting Laplacian of the weight on the sample grid")
     trace_grad = trace_grad_tensor(chart, fields, gamma)
     t0 = np.sqrt(np.maximum(contract("pab,pa,pb->p", fields.g, trace_grad, trace_grad), 0.0)).max()
     del deta, grad_sq, gamma_trace, laplacian, gamma, trace_grad  # Γ ends before the second form

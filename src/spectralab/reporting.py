@@ -25,10 +25,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import bounds as bnd
 from .assembly import EigenfunctionQuadrature, assemble
 from .eigensolve import solve_sparse, vertex_fields
-from .errors import ConfigError
+from .errors import ConfigError, EvaluationError
 from .geometry import (
     CHARTS,
     ETAS,
@@ -169,7 +171,7 @@ def parse_config(text):
             found = tuple(convert(tok) for tok in text.split())
             if all(map(math.isfinite, found)):
                 return found
-        except ValueError:
+        except (ValueError, OverflowError):  # an int past the float range
             pass
         raise ConfigError(f"line {linenos[key]}: {key} expects finite "
                           f"{convert.__name__} values, got {text!r}")
@@ -302,14 +304,17 @@ class RunResult:
     eigenvalues: dict = field(default_factory=dict)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_scenario(scenario, out_dir=None, write=True, checks=True):
     """Run the full pipeline for one scenario.
 
     Returns a :class:`RunResult` whose ``exit_code`` follows the contract:
     0 when every evaluated inequality holds within slack, 1 when some check
     failed, 2 on a module error or any other exception (partial outputs
-    retained with a MANIFEST noting incompleteness).  The resolution levels
-    are solved one after another in ascending order.
+    retained with a MANIFEST noting incompleteness).  Any overflow, invalid
+    operation or division by zero is an :class:`EvaluationError` naming its
+    stage (constants, solve or checks); underflow is not an error.  The
+    resolution levels are solved one after another in ascending order.
     """
     if out_dir is None:
         root = os.environ.get("SPECTRA_OUT")
@@ -318,6 +323,7 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
     written = []
     skipped_notes = []
     error_message = ""
+    stage = "constants"  # the chart is built in this stage too
 
     def emit(name, text):
         if not write:
@@ -332,6 +338,7 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
         chart = build_chart(scenario)
         consts = compute_constants(chart, scenario.constants_resolution)
 
+        stage = "solve"
         levels = {res: _solve_level(chart, res, scenario.k_max)
                   for res in scenario.resolutions}
 
@@ -355,11 +362,10 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
                     f"{idx + 1},{res},{_fmt(vals[j])},{_fmt(limit)},{_fmt(order)}")
         emit("convergence.csv", "\n".join(conv_lines) + "\n")
 
-        finest = scenario.resolutions[-1]
-        mesh, result = levels[finest]
+        mesh, result = levels[scenario.resolutions[-1]]
+        stage = "checks"
         if checks:
-            reports = _run_checks(scenario, chart, consts, mesh, result)
-            run.reports = reports
+            run.reports = reports = _run_checks(scenario, chart, consts, mesh, result)
             rows = ["name,k,lhs,rhs,ratio,holds,slack"]
             for report in reports:
                 if report.skipped:
@@ -382,6 +388,8 @@ def run_scenario(scenario, out_dir=None, write=True, checks=True):
             emit("weyl_fit.json", json.dumps(
                 {"skipped": "k_max below 10 fit points"}, indent=2) + "\n")
     except Exception as exc:  # not only SpectralabError: LinAlgError, MemoryError, ...
+        if isinstance(exc, ArithmeticError):  # numpy's FloatingPointError, math's OverflowError
+            exc = EvaluationError(f"{exc} in the {stage} stage")
         error_message = f"{type(exc).__name__}: {exc}"
         run.exit_code = 2
         run.messages.append(error_message)

@@ -161,16 +161,51 @@ def test_unexpected_exception_gives_exit_two_and_manifest(tmp_path, capsys, monk
     assert f"error {message}" in manifest
 
 
-def test_overflowing_weight_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    # exp(-eta) overflows where eta = -1000: an error, not numpy warnings
-    text = SMALL_CONFIG.replace("eta.kind = zero", "eta.kind = expr\neta.expr = -1e3 + x")
+def _override(text, lines):
+    """``text`` with each ``key = value`` line of ``lines`` in place of that key's
+    line, or appended where ``text`` has no such key."""
+    new = dict(line.split(" = ", 1) for line in lines.splitlines())
+    kept = [line for line in text.splitlines() if line.split(" = ")[0] not in new]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in new.items()]) + "\n"
+
+
+MAGNITUDE_CONFIG = _override(SMALL_CONFIG, "mesh.resolutions = 4 8\neigen.k_max = 5")
+
+
+@pytest.mark.parametrize("lines,error", [
+    ("eta.kind = expr\neta.expr = -1e3 + x", "overflow encountered in exp in the solve stage"),
+    ("chart.id = cylinder\nchart.params = 1e-300",
+     "overflow encountered in multiply in the constants stage"),
+    ("eta.kind = linear\neta.params = 1e200 0",
+     "overflow encountered in multiply in the constants stage"),
+    ("tensor.kind = diag\ntensor.params = 1e300 1e300",
+     "overflow encountered in multiply in the constants stage"),
+    # SPD, but its determinant overflows
+    ("tensor.kind = diag\ntensor.params = 1e200 1",
+     "overflow encountered in square in the constants stage"),
+    # math's OverflowError of h_max ** 2 in the test-function checks
+    ("domain.kind = rectangle\ndomain.bounds = 0 1e200 0 1",
+     "(34, 'Numerical result out of range') in the checks stage"),
+    ("domain.kind = disk\ndomain.radius = 1e200",
+     "overflow encountered in multiply in the constants stage"),
+    # A^-1 B past the float range, in SuperLU's solves, which raise no error of their
+    # own (the res-4 interval has 3 dofs)
+    ("chart.id = flat_interval\ndomain.kind = rectangle\ndomain.bounds = 10 1e281\n"
+     "eigen.k_max = 2",
+     "non-finite value in the shift-invert solves in the solve stage"),
+], ids=["eta_expr_exp", "cylinder_radius_1e-300", "linear_1e200", "diag_1e300",
+        "diag_1e200_1", "rectangle_1e200", "disk_radius_1e200", "interval_1e281"])
+def test_overflowing_weight_exits_two_with_one_line(tmp_path, capsys, monkeypatch, lines, error):
+    # numbers past the float range: one error naming the stage, not numpy warnings
     monkeypatch.setenv("SPECTRA_OUT", str(tmp_path / "out"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", _write(tmp_path, "smoke.cfg", text)]) == 2
+        assert main(["run", _write(tmp_path, "smoke.cfg", _override(MAGNITUDE_CONFIG, lines))]) == 2
     assert not caught
     err = capsys.readouterr().err.splitlines()
-    assert err == ["EvaluationError: weight exp(-eta) overflows at a quadrature point"]
+    assert err == [f"EvaluationError: {error}"]
+    manifest = (tmp_path / "out" / "smoke" / "MANIFEST").read_text().splitlines()
+    assert manifest[-1] == f"error EvaluationError: {error}"
 
 
 def test_weight_without_a_derivative_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
@@ -237,6 +272,8 @@ def test_missing_config_file_exit_two(capsys):
     ("appendix.c", "nan"),            # non-finite floats
     ("appendix.c", "inf"),
     ("domain.bounds", "0 inf 0 1"),
+    # an int past the float range
+    pytest.param("constants.resolution", "1" + "0" * 400, id="constants.resolution-1e400"),
 ])
 def test_malformed_number_exits_two_without_traceback(tmp_path, key, bad):
     base = SMALL_CONFIG + {
@@ -362,6 +399,22 @@ def test_parallel_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
+def _verify_text(config):
+    """Exit code, stderr lines and caught warnings of ``spectralab verify`` on
+    the scenario text ``config``; an uncaught exception propagates out of
+    ``main``, so it fails the calling test."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "scenario.cfg")
+        with open(cfg, "w") as handle:
+            handle.write(config)
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(["verify", cfg])
+    return code, err.getvalue().splitlines(), caught
+
+
 # long expressions: well-formed ones from the grammar, joined into sums of
 # many terms, and token soup that is mostly malformed
 _ATOMS = st.sampled_from(["x", "y", "u", "v", "pi", "e", "0", "1", "2.5", ".5", "1e3", "1e400"])
@@ -396,20 +449,60 @@ def test_long_expression_runs_or_exits_two_with_one_error_line(text, key):
         finite = True
     except SpectralabError:
         finite = False
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "long.cfg")
-        with open(cfg, "w") as handle:
-            handle.write(config)
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
-              warnings.catch_warnings(record=True) as caught):
-            warnings.simplefilter("always")
-            code = main(["verify", cfg])
-    # an uncaught exception would have propagated out of main, and a warning
-    # would be one more stderr line from the command line
+    code, lines, caught = _verify_text(config)
+    # a warning would be one more stderr line from the command line
     assert not caught
     assert code in ((0, 1, 2) if finite else (2,))
     if code == 2:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and "Traceback" not in lines[0]
         assert lines[0].startswith("error: ") or lines[0].split(":")[0].endswith("Error")
+
+
+# scenario numbers over the whole float range: 0, and either sign from 1e-300
+# to 1e300; half of them positive, so that more runs get past the checks of
+# radii and extents
+_MAGNITUDES = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                        st.sampled_from([1.0, 1.0, -1.0, 0.0]), st.floats(1.0, 9.99),
+                        st.integers(-300, 299))
+
+
+@st.composite
+def _magnitude_scenarios(draw):
+    """Scenario texts with chart parameters, domain, weight coefficients and
+    tensor diagonal drawn from ``_MAGNITUDES``."""
+    def numbers(count, ascending=False):
+        values = draw(st.lists(_MAGNITUDES, min_size=count, max_size=count))
+        return " ".join(map(repr, sorted(values) if ascending else values))
+
+    chart_id = draw(st.sampled_from(sorted(reporting.CHARTS)))
+    dim = reporting.CHARTS[chart_id].dim
+    lines = [f"chart.id = {chart_id}"]
+    if reporting.CHARTS[chart_id].defaults:
+        lines.append(f"chart.params = {numbers(1)}")
+    domain = draw(st.sampled_from(["default", "default", "rectangle"] + ["disk"] * (dim == 2)))
+    if domain == "rectangle":
+        lines.append("domain.kind = rectangle\ndomain.bounds = "
+                     + " ".join(numbers(2, ascending=True) for _ in range(dim)))
+    elif domain == "disk":
+        lines.append(f"domain.kind = disk\ndomain.center = {numbers(2)}\n"
+                     f"domain.radius = {numbers(1)}")
+    eta = draw(st.sampled_from(["zero", "linear", "radial_quadratic"]))
+    if eta != "zero":
+        count = dim if eta == "linear" else draw(st.sampled_from([1, 1 + dim]))
+        lines.append(f"eta.kind = {eta}\neta.params = {numbers(count)}")
+    if draw(st.booleans()):
+        lines.append(f"tensor.kind = diag\ntensor.params = {numbers(dim)}")
+    lines.append(f"mesh.resolutions = {draw(st.sampled_from(['4', '8', '4 8']))}\n"
+                 f"eigen.k_max = {draw(st.integers(2, 6))}\nconstants.resolution = 8")
+    return _override(SMALL_CONFIG, "\n".join(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_magnitude_scenarios())
+def test_scenario_numbers_run_or_exit_two_with_one_error_line(config):
+    # k_max <= 6 skips the Weyl fit, so no error can follow a FAILED line
+    code, lines, caught = _verify_text(config)
+    assert not caught
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1 and "Traceback" not in lines[0]
